@@ -207,7 +207,7 @@ fn main() {
         .unwrap_or(0xC0FFEE);
 
     // Tracing at 1.0 so a failing run ships its full event timeline. The
-    // CAS knob follows the build's feature set unless `H2_CHAOS_CAS`
+    // CAS knob takes `H2Config`'s default (off) unless `H2_CHAOS_CAS`
     // overrides it (0/1), so one binary soaks both content planes.
     let cas = std::env::var("H2_CHAOS_CAS")
         .ok()

@@ -171,8 +171,8 @@ fn main() {
     }
 
     // Streaming leg: sequential whole-file reads of a 24 MiB-file corpus,
-    // H2 only — every read reassembles multipart parts (or, compiled with
-    // the `cas` feature, walks the manifest → branch → leaf block tree),
+    // H2 only — every read reassembles multipart parts (or, with the CAS
+    // plane on, walks the manifest → branch → leaf block tree),
     // so this leg prices content reassembly rather than resolve time.
     for &t in &args.threads {
         let cfg = LoadgenConfig {

@@ -146,9 +146,8 @@ pub struct LoadgenConfig {
     /// record a pre-optimisation baseline of the same leg.
     pub read_opt: bool,
     /// Content-addressed content plane for the H2 runs (see
-    /// [`H2Config::cas`]). Defaults to the compiled-in `cas` feature
-    /// default so feature-matrix CI legs measure what they test; the
-    /// dedup ablation flips it at runtime.
+    /// [`H2Config::cas`]). Defaults to [`H2Config::default`]'s setting
+    /// (off); the dedup ablation flips it on.
     pub cas: bool,
 }
 

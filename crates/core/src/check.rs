@@ -256,7 +256,6 @@ mod tests {
 
     #[test]
     fn cas_audit_detects_tampered_block() {
-        // Forced on at runtime so this runs on every feature leg.
         let fs = H2Cloud::new(H2Config {
             cas: true,
             ..H2Config::for_test()

@@ -67,8 +67,7 @@ pub struct H2Config {
     /// model"). Observationally equivalent to per-call submission — the
     /// equivalence suite proves it — but collapses the per-submitter PUT
     /// (and, in Eager mode, the per-submitter merge cycle) under
-    /// contention. Defaults to the `group-commit` cargo feature so the CI
-    /// matrix exercises both paths.
+    /// contention. Default off; the equivalence suite runs both settings.
     pub group_commit: bool,
     /// Full-path resolve cache: each middleware keeps a map from resolved
     /// full path → descriptor, fingerprinted by the version epoch of every
@@ -79,8 +78,7 @@ pub struct H2Config {
     /// shares the ring cache's budget, scaled up — see
     /// [`H2Middleware::path_cache_lookup`]). Same consistency envelope as
     /// the ring cache itself: exact with a single Eager middleware,
-    /// eventual across middlewares. Defaults to the `read-path-opt` cargo
-    /// feature so the CI matrix exercises both paths.
+    /// eventual across middlewares. Default off (on in `for_test()`).
     pub path_cache: bool,
     /// Negative-entry cache: NotFound resolve outcomes are cached under
     /// the same epoch fingerprint as positive ones, so repeated stats of
@@ -88,7 +86,7 @@ pub struct H2Config {
     /// plus the epoch guard ensure a stale negative can never outlive the
     /// ancestor version stamp that disproves it. Requires `path_cache`
     /// plumbing (`cache_capacity > 0`); independent of `path_cache` being
-    /// on. Defaults to the `read-path-opt` cargo feature.
+    /// on. Default off (on in `for_test()`).
     pub neg_cache: bool,
     /// Hedged replica reads: probe all assigned devices as one parallel
     /// wave (charged max-of-probes, not sum), and when the assigned answers
@@ -96,7 +94,7 @@ pub struct H2Config {
     /// instead of serialising it. Identical probes in identical order —
     /// results and injected-fault draws are byte-for-byte the same as the
     /// serial path; only the virtual-time charging and span shape change.
-    /// Defaults to the `read-path-opt` cargo feature.
+    /// Default off (on in `for_test()`).
     pub hedged_reads: bool,
     /// Content-addressed content plane: file content is chunked
     /// (FastCDC-style, ~1 MiB target leaves) into immutable, refcounted,
@@ -107,8 +105,8 @@ pub struct H2Config {
     /// across files, across users — collapses to the same blocks; see the
     /// `dedup_bytes_saved` / `cas_blocks_written` / `cas_blocks_shared`
     /// counters. Observationally equivalent to whole-object storage (the
-    /// equivalence suite proves it). Defaults to the `cas` cargo feature
-    /// so the CI matrix exercises both planes.
+    /// equivalence suite proves it). Default off: whole objects and
+    /// multipart stripes.
     pub cas: bool,
 }
 
@@ -120,11 +118,11 @@ impl Default for H2Config {
             cluster: ClusterConfig::default(),
             cache_capacity: 0,
             trace_sample: 0.0,
-            group_commit: cfg!(feature = "group-commit"),
-            path_cache: cfg!(feature = "read-path-opt"),
-            neg_cache: cfg!(feature = "read-path-opt"),
-            hedged_reads: cfg!(feature = "read-path-opt"),
-            cas: cfg!(feature = "cas"),
+            group_commit: false,
+            path_cache: false,
+            neg_cache: false,
+            hedged_reads: false,
+            cas: false,
         }
     }
 }
@@ -142,14 +140,14 @@ impl H2Config {
             cluster: ClusterConfig::tiny(),
             cache_capacity: 128,
             trace_sample: 1.0,
-            group_commit: cfg!(feature = "group-commit"),
+            group_commit: false,
             // Always on in tests (like the ring cache above): with a
             // single Eager middleware the caches are exactly consistent,
             // so the semantic suites double as cache correctness coverage.
             path_cache: true,
             neg_cache: true,
             hedged_reads: true,
-            cas: cfg!(feature = "cas"),
+            cas: false,
         }
     }
 }
@@ -202,22 +200,9 @@ pub struct H2Cloud {
 
 impl H2Cloud {
     pub fn new(cfg: H2Config) -> Self {
-        let cluster = Cluster::new(cfg.cluster.clone());
-        cluster.set_hedged_reads(cfg.hedged_reads);
         let metrics = Arc::new(h2util::metrics::MetricsRegistry::new());
         H2Cloud {
-            layer: H2Layer::with_observability(
-                cluster,
-                cfg.middlewares,
-                cfg.mode,
-                metrics.clone(),
-                cfg.cache_capacity,
-                cfg.trace_sample,
-                cfg.group_commit,
-                cfg.path_cache,
-                cfg.neg_cache,
-                cfg.cas,
-            ),
+            layer: H2Layer::new(Cluster::new(cfg.cluster.clone()), &cfg, metrics.clone()),
             metrics,
         }
     }

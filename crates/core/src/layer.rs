@@ -6,8 +6,8 @@
 //! two ways:
 //!
 //! * [`H2Layer::pump`] — deterministic, single-threaded delivery loop used
-//!   by tests and the figure harness: drain every outbox, deliver to every
-//!   peer, repeat until quiescent.
+//!   by tests and the figure harness: drain every outbox, deliver each
+//!   peer its round's messages as one batch, repeat until quiescent.
 //! * [`H2Layer::run_threaded`] — each middleware gets a real thread with a
 //!   crossbeam channel inbox; gossip flows concurrently until the layer is
 //!   told to stop. Used by the concurrency integration tests and the
@@ -25,7 +25,8 @@ use h2util::metrics::MetricsRegistry;
 use h2util::{NodeId, Result};
 use swiftsim::Cluster;
 
-use crate::middleware::{GossipMsg, H2Middleware, MaintenanceMode};
+use crate::fs::H2Config;
+use crate::middleware::{GossipMsg, H2Middleware};
 // Historically defined here; the middleware now owns the counter (it bumps
 // it inside `step_merges`), so the layer re-exports the name.
 pub use crate::middleware::MERGE_FAILURES;
@@ -58,58 +59,14 @@ pub struct H2Layer {
 }
 
 impl H2Layer {
-    /// Build `n` middlewares (node ids 1..=n) over `cluster`, NameRing
-    /// cache disabled, each middleware with a private metrics registry.
-    pub fn new(cluster: Arc<Cluster>, n: usize, mode: MaintenanceMode) -> Self {
-        Self::with_cache(cluster, n, mode, Arc::new(MetricsRegistry::new()), 0)
-    }
-
-    /// Build `n` middlewares (node ids 1..=n) over `cluster`, all reporting
-    /// into the shared `metrics` registry, each with a NameRing cache of
-    /// `cache_capacity` rings (0 disables the cache).
-    pub fn with_cache(
-        cluster: Arc<Cluster>,
-        n: usize,
-        mode: MaintenanceMode,
-        metrics: Arc<MetricsRegistry>,
-        cache_capacity: usize,
-    ) -> Self {
-        Self::with_observability(
-            cluster,
-            n,
-            mode,
-            metrics,
-            cache_capacity,
-            0.0,
-            false,
-            false,
-            false,
-            false,
-        )
-    }
-
-    /// Like [`with_cache`](Self::with_cache), plus span tracing: each
-    /// middleware gets a bounded [`h2util::trace::TraceCollector`] sampling
-    /// `trace_sample` of its operations (0 disables tracing entirely), the
-    /// group-commit switch (see
-    /// [`H2Middleware::submit_patch`](crate::middleware::H2Middleware)),
-    /// the read-path cache switches (`path_cache` / `neg_cache`, see
-    /// [`H2Middleware::path_cache_lookup`]), and the content-addressed
-    /// content plane switch (`cas`, see DESIGN.md).
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_observability(
-        cluster: Arc<Cluster>,
-        n: usize,
-        mode: MaintenanceMode,
-        metrics: Arc<MetricsRegistry>,
-        cache_capacity: usize,
-        trace_sample: f64,
-        group_commit: bool,
-        path_cache: bool,
-        neg_cache: bool,
-        cas: bool,
-    ) -> Self {
-        assert!(n >= 1, "need at least one middleware");
+    /// Build `cfg.middlewares` middlewares (node ids 1..=n) over `cluster`,
+    /// all reporting into the shared `metrics` registry and configured by
+    /// `cfg` (maintenance mode, caches, tracing, group commit, content
+    /// plane); `cfg.hedged_reads` is applied to `cluster`. `cfg.cluster`
+    /// is not read: the cluster is already built.
+    pub fn new(cluster: Arc<Cluster>, cfg: &H2Config, metrics: Arc<MetricsRegistry>) -> Self {
+        assert!(cfg.middlewares >= 1, "need at least one middleware");
+        cluster.set_hedged_reads(cfg.hedged_reads);
         // Pre-register the layer's failure counters so `op=metrics` always
         // lists them, even before the first failure.
         metrics.counter(GOSSIP_APPLY_FAILURES);
@@ -117,7 +74,7 @@ impl H2Layer {
         metrics.counter(h2util::retry::OP_RETRIES);
         metrics.counter(h2util::retry::OP_GAVE_UP);
         metrics.histogram(h2util::retry::RETRY_BACKOFF_MS);
-        if trace_sample > 0.0 {
+        if cfg.trace_sample > 0.0 {
             // Same idea for the per-stage breakdown histograms: only listed
             // when tracing can actually feed them.
             metrics.histogram(h2util::trace::STAGE_RING_MS);
@@ -125,23 +82,19 @@ impl H2Layer {
             metrics.histogram(h2util::trace::STAGE_QUORUM_MS);
             metrics.histogram(h2util::trace::STAGE_BACKOFF_MS);
         }
-        let middlewares = (1..=n as u16)
+        let middlewares = (1..=cfg.middlewares as u16)
             .map(|i| {
-                H2Middleware::with_observability(
+                let tracer = h2util::trace::TraceCollector::new(
+                    cfg.trace_sample,
+                    h2util::trace::DEFAULT_TRACE_CAP,
+                    i,
+                );
+                H2Middleware::new(
                     NodeId(i),
                     cluster.clone(),
-                    mode,
+                    cfg,
                     metrics.clone(),
-                    cache_capacity,
-                    Arc::new(h2util::trace::TraceCollector::new(
-                        trace_sample,
-                        h2util::trace::DEFAULT_TRACE_CAP,
-                        i,
-                    )),
-                    group_commit,
-                    path_cache,
-                    neg_cache,
-                    cas,
+                    Arc::new(tracer),
                 )
             })
             .collect();
@@ -180,32 +133,17 @@ impl H2Layer {
     }
 
     /// Deterministic gossip pump: run background mergers, then flood
-    /// outboxes to all peers, repeating until no work remains. Returns the
+    /// outboxes to all peers, repeating until no work remains. Each round's
+    /// messages for one target go down as a single
+    /// [`H2Middleware::on_gossip_batch`] call (one lock acquisition per
+    /// target), the way the threaded fabric applies its inbox. Returns the
     /// number of gossip deliveries performed.
     pub fn pump(&self) -> Result<usize> {
         self.pump_with_faults(GossipFaults::default())
     }
 
-    /// [`pump`](Self::pump) but delivering each round's messages to a
-    /// target middleware as one [`H2Middleware::on_gossip_batch`] call
-    /// (single lock acquisition per target), the way the threaded fabric
-    /// applies its inbox. Observationally equivalent to per-message
-    /// delivery; the equivalence suite proves it.
-    pub fn pump_batched(&self) -> Result<usize> {
-        self.pump_batched_with_faults(GossipFaults::default())
-    }
-
-    /// [`pump_batched`](Self::pump_batched) with fault injection.
-    pub fn pump_batched_with_faults(&self, faults: GossipFaults) -> Result<usize> {
-        self.pump_impl(faults, true)
-    }
-
     /// [`pump`](Self::pump) with fault injection.
     pub fn pump_with_faults(&self, faults: GossipFaults) -> Result<usize> {
-        self.pump_impl(faults, false)
-    }
-
-    fn pump_impl(&self, faults: GossipFaults, batched: bool) -> Result<usize> {
         let mut deliveries = 0usize;
         let mut msg_seq = 0usize;
         loop {
@@ -215,84 +153,60 @@ impl H2Layer {
                     progressed = true;
                 }
             }
-            let mut batch: Vec<(NodeId, GossipMsg)> = Vec::new();
-            for mw in &self.middlewares {
-                for msg in mw.take_outbox() {
-                    batch.push((mw.node(), msg));
-                }
-            }
-            // Expand the batch into per-target deliveries so one failing
-            // target can be retried without re-applying to the others.
-            let mut queue: VecDeque<(usize, GossipMsg, u32)> = VecDeque::new();
-            for (origin, msg) in batch {
-                msg_seq += 1;
-                if faults.drop_every > 0 && msg_seq.is_multiple_of(faults.drop_every) {
-                    continue;
-                }
-                let copies = if faults.duplicate_every > 0
-                    && msg_seq.is_multiple_of(faults.duplicate_every)
-                {
-                    2
-                } else {
-                    1
-                };
-                for _ in 0..copies {
-                    for (idx, mw) in self.middlewares.iter().enumerate() {
-                        if mw.node() != origin {
-                            queue.push_back((idx, msg.clone(), 0));
-                        }
+            // Per-target deliveries, so one failing target can be retried
+            // without re-applying to the others.
+            let mut queue: Vec<(usize, GossipMsg, u32)> = Vec::new();
+            for origin in &self.middlewares {
+                for msg in origin.take_outbox() {
+                    msg_seq += 1;
+                    if faults.drop_every > 0 && msg_seq.is_multiple_of(faults.drop_every) {
+                        continue;
                     }
-                }
-                progressed = true;
-            }
-            if batched {
-                // Drain the queue in rounds: all messages bound for one
-                // target this round go down in a single batch application.
-                // Failures requeue individually for the next round.
-                while !queue.is_empty() {
-                    let mut per_target: Vec<Vec<(GossipMsg, u32)>> =
-                        vec![Vec::new(); self.middlewares.len()];
-                    for (idx, msg, attempts) in queue.drain(..) {
-                        per_target[idx].push((msg, attempts));
-                    }
-                    for (idx, entries) in per_target.into_iter().enumerate() {
-                        if entries.is_empty() {
-                            continue;
-                        }
-                        let mw = &self.middlewares[idx];
-                        let msgs: Vec<GossipMsg> = entries.iter().map(|(m, _)| m.clone()).collect();
-                        for ((msg, attempts), res) in
-                            entries.into_iter().zip(mw.on_gossip_batch(&msgs))
-                        {
-                            match res {
-                                Ok(_) => deliveries += 1,
-                                Err(e) => {
-                                    mw.metrics().counter(GOSSIP_APPLY_FAILURES).incr();
-                                    if attempts + 1 >= MAX_GOSSIP_ATTEMPTS {
-                                        return Err(e);
-                                    }
-                                    queue.push_back((idx, msg, attempts + 1));
-                                }
+                    progressed = true;
+                    let copies = if faults.duplicate_every > 0
+                        && msg_seq.is_multiple_of(faults.duplicate_every)
+                    {
+                        2
+                    } else {
+                        1
+                    };
+                    for _ in 0..copies {
+                        for (idx, mw) in self.middlewares.iter().enumerate() {
+                            if mw.node() != origin.node() {
+                                queue.push((idx, msg.clone(), 0));
                             }
                         }
                     }
                 }
-            } else {
-                while let Some((idx, msg, attempts)) = queue.pop_front() {
+            }
+            // Drain the queue in rounds: all messages bound for one target
+            // this round go down in a single batch application. Failures
+            // requeue individually for the next round, with bounded
+            // attempts — transient faults redraw on retry — and propagate
+            // only once the budget is spent.
+            while !queue.is_empty() {
+                let mut per_target: Vec<Vec<(GossipMsg, u32)>> =
+                    vec![Vec::new(); self.middlewares.len()];
+                for (idx, msg, attempts) in queue.drain(..) {
+                    per_target[idx].push((msg, attempts));
+                }
+                for (idx, entries) in per_target.into_iter().enumerate() {
+                    if entries.is_empty() {
+                        continue;
+                    }
                     let mw = &self.middlewares[idx];
-                    match mw.on_gossip(&msg) {
-                        Ok(_) => deliveries += 1,
-                        Err(e) => {
-                            // An earlier revision `?`-propagated here,
-                            // silently losing the message (it was already
-                            // drained from the outbox). Requeue with bounded
-                            // attempts — transient faults redraw on retry —
-                            // and only propagate once the budget is spent.
-                            mw.metrics().counter(GOSSIP_APPLY_FAILURES).incr();
-                            if attempts + 1 >= MAX_GOSSIP_ATTEMPTS {
-                                return Err(e);
+                    let msgs: Vec<GossipMsg> = entries.iter().map(|(m, _)| m.clone()).collect();
+                    for ((msg, attempts), res) in entries.into_iter().zip(mw.on_gossip_batch(&msgs))
+                    {
+                        match res {
+                            Ok(_) => deliveries += 1,
+                            Err(e) => {
+                                mw.metrics().counter(GOSSIP_APPLY_FAILURES).incr();
+                                if attempts + 1 >= MAX_GOSSIP_ATTEMPTS {
+                                    return Err(e);
+                                }
+                                queue.push((idx, msg, attempts + 1));
                             }
-                            queue.push_back((idx, msg, attempts + 1));
                         }
                     }
                 }
@@ -504,6 +418,7 @@ impl Drop for ThreadedGossip {
 mod tests {
     use super::*;
     use crate::keys::H2Keys;
+    use crate::middleware::MaintenanceMode;
     use crate::namering::{NameRing, Tuple};
     use h2util::{NamespaceId, OpCtx};
     use swiftsim::ClusterConfig;
@@ -520,7 +435,12 @@ mod tests {
         cluster
             .create_container("alice", crate::keys::H2_CONTAINER, false)
             .unwrap();
-        H2Layer::new(cluster, n, mode)
+        let cfg = H2Config {
+            middlewares: n,
+            mode,
+            ..H2Config::default()
+        };
+        H2Layer::new(cluster, &cfg, Arc::new(MetricsRegistry::new()))
     }
 
     fn ns(seq: u64) -> NamespaceId {
@@ -575,36 +495,6 @@ mod tests {
         assert_eq!(g.live_len(), 12);
         // … and a clean pump round brings every local view up to date.
         layer.pump().unwrap();
-        for mw in layer.middlewares() {
-            let local_plus_global = mw.read_ring(&mut ctx, &keys, ns(1)).unwrap();
-            assert_eq!(local_plus_global.live_len(), 12);
-        }
-    }
-
-    #[test]
-    fn batched_pump_survives_dropped_and_duplicated_gossip() {
-        let layer = layer(4, MaintenanceMode::Deferred);
-        let keys = H2Keys::new("alice");
-        let mut ctx = OpCtx::for_test();
-        for round in 0..3 {
-            for (i, mw) in layer.middlewares().iter().enumerate() {
-                let mut p = NameRing::new();
-                p.apply(&format!("r{round}-f{i}"), Tuple::file(mw.tick(), i as u64));
-                mw.submit_patch(&mut ctx, &keys, ns(1), p).unwrap();
-            }
-            layer
-                .pump_batched_with_faults(GossipFaults {
-                    drop_every: 3,
-                    duplicate_every: 4,
-                })
-                .unwrap();
-        }
-        let g = layer
-            .mw(0)
-            .fetch_global_ring(&mut ctx, &keys, ns(1))
-            .unwrap();
-        assert_eq!(g.live_len(), 12);
-        layer.pump_batched().unwrap();
         for mw in layer.middlewares() {
             let local_plus_global = mw.read_ring(&mut ctx, &keys, ns(1)).unwrap();
             assert_eq!(local_plus_global.live_len(), 12);

@@ -40,6 +40,7 @@ use h2util::{
 use swiftsim::{Cluster, Meta, Object, ObjectKey, ObjectStore, Payload};
 
 use crate::formatter;
+use crate::fs::H2Config;
 use crate::keys::{DirDescriptor, H2Keys};
 use crate::namering::{NameRing, RingView};
 
@@ -398,52 +399,19 @@ pub struct H2Middleware {
 }
 
 impl H2Middleware {
-    /// Plain middleware: private metrics registry, NameRing cache disabled.
-    pub fn new(node: NodeId, store: Arc<Cluster>, mode: MaintenanceMode) -> Arc<Self> {
-        Self::with_cache(node, store, mode, Arc::new(MetricsRegistry::new()), 0)
-    }
-
-    /// Middleware reporting into a shared `metrics` registry, with a
-    /// NameRing cache of `cache_capacity` parsed rings (0 disables it).
-    pub fn with_cache(
+    /// A middleware with node id `node` over `store`, configured by `cfg`
+    /// (maintenance mode, NameRing cache size, the full-path and negative
+    /// caches — both also require `cache_capacity > 0` — group commit and
+    /// the CAS content plane), reporting into `metrics` and sampling
+    /// operation traces into `tracer`.
+    pub fn new(
         node: NodeId,
         store: Arc<Cluster>,
-        mode: MaintenanceMode,
+        cfg: &H2Config,
         metrics: Arc<MetricsRegistry>,
-        cache_capacity: usize,
-    ) -> Arc<Self> {
-        Self::with_observability(
-            node,
-            store,
-            mode,
-            metrics,
-            cache_capacity,
-            Arc::new(TraceCollector::disabled()),
-            false,
-            false,
-            false,
-            false,
-        )
-    }
-
-    /// Full constructor: like [`with_cache`](Self::with_cache), plus a span
-    /// collector for sampled operation traces, the group-commit switch,
-    /// the read-path switches (full-path resolve cache / negative-entry
-    /// cache — both also require `cache_capacity > 0`), and the CAS
-    /// content-plane switch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_observability(
-        node: NodeId,
-        store: Arc<Cluster>,
-        mode: MaintenanceMode,
-        metrics: Arc<MetricsRegistry>,
-        cache_capacity: usize,
         tracer: Arc<TraceCollector>,
-        group_commit: bool,
-        path_cache: bool,
-        neg_cache: bool,
-        cas: bool,
     ) -> Arc<Self> {
+        let cache_capacity = cfg.cache_capacity;
         assert!(
             node.0 > 0,
             "middleware node ids are 1-based (0 is reserved)"
@@ -453,8 +421,8 @@ impl H2Middleware {
             misses: metrics.counter(RING_CACHE_MISSES),
             gets_saved: metrics.counter(GETS_SAVED),
         });
-        let path_cache_on = path_cache && cache_capacity > 0;
-        let neg_cache_on = neg_cache && cache_capacity > 0;
+        let path_cache_on = cfg.path_cache && cache_capacity > 0;
+        let neg_cache_on = cfg.neg_cache && cache_capacity > 0;
         let path_counters = (path_cache_on || neg_cache_on).then(|| PathCounters {
             hits: metrics.counter(PATH_CACHE_HITS),
             misses: metrics.counter(PATH_CACHE_MISSES),
@@ -475,7 +443,7 @@ impl H2Middleware {
             clock: HybridClock::new(node, 1_600_000_000_000),
             ns_alloc: NamespaceAllocator::new(node),
             store,
-            mode,
+            mode: cfg.mode,
             metrics,
             ring_cache: (0..RING_SHARDS)
                 .map(|_| Mutex::new(LruCache::new(cache_capacity.div_ceil(RING_SHARDS))))
@@ -489,10 +457,10 @@ impl H2Middleware {
             ring_put_ms: Mutex::new(HashMap::new()),
             fds: Mutex::new(HashMap::new()),
             merge_locks: Mutex::new(HashMap::new()),
-            group_commit,
+            group_commit: cfg.group_commit,
             commit_queues: Mutex::new(HashMap::new()),
             part_stamp: std::sync::atomic::AtomicU64::new(0),
-            cas,
+            cas: cfg.cas,
             ring_fetches,
             merge_failures,
             retry: RetryPolicy::new(0x4852_5452 ^ node.0 as u64),
@@ -2068,20 +2036,13 @@ impl H2Middleware {
         std::mem::take(&mut *self.outbox.lock())
     }
 
-    /// Handle one incoming gossip tuple. Returns true when the update was
-    /// news to this node (and should be forwarded); false aborts the flood
-    /// (the local version is already at least as new — §3.3.2's loop-back
-    /// avoidance by timestamp comparison).
-    pub fn on_gossip(&self, msg: &GossipMsg) -> Result<bool> {
-        self.on_gossip_batch(std::slice::from_ref(msg))
-            .pop()
-            .expect("one result per message")
-    }
-
     /// Handle a whole inbox of gossip tuples in one sweep, with per-message
     /// results (index-aligned with `msgs`, so a failing message can be
     /// requeued individually — batching never couples one message's fate
-    /// to another's).
+    /// to another's). `Ok(true)` means the update was news to this node
+    /// (and should be forwarded); `Ok(false)` aborts the flood (the local
+    /// version is already at least as new — §3.3.2's loop-back avoidance
+    /// by timestamp comparison).
     ///
     /// Compared with applying messages one at a time, a batch takes the
     /// descriptor lock O(1) times instead of O(messages): one acquisition
@@ -2395,8 +2356,30 @@ mod tests {
         cluster
             .create_container("alice", crate::keys::H2_CONTAINER, false)
             .unwrap();
-        let mw = H2Middleware::new(NodeId(1), cluster.clone(), mode);
+        let mw = node(&cluster, 1, mode, false);
         (cluster, mw, H2Keys::new("alice"))
+    }
+
+    /// Middleware `id` over `cluster`: private metrics, no caches, no
+    /// tracing; `group_commit` as given.
+    fn node(
+        cluster: &Arc<Cluster>,
+        id: u16,
+        mode: MaintenanceMode,
+        group_commit: bool,
+    ) -> Arc<H2Middleware> {
+        let cfg = H2Config {
+            mode,
+            group_commit,
+            ..H2Config::default()
+        };
+        H2Middleware::new(
+            NodeId(id),
+            cluster.clone(),
+            &cfg,
+            Arc::new(MetricsRegistry::new()),
+            Arc::new(TraceCollector::disabled()),
+        )
     }
 
     fn ns(seq: u64) -> NamespaceId {
@@ -2516,7 +2499,7 @@ mod tests {
     #[test]
     fn gossip_round_trip_between_two_middlewares() {
         let (cluster, mw1, keys) = setup(MaintenanceMode::Eager);
-        let mw2 = H2Middleware::new(NodeId(2), cluster, MaintenanceMode::Eager);
+        let mw2 = node(&cluster, 2, MaintenanceMode::Eager, false);
         let mut ctx = OpCtx::for_test();
         let mut p = NameRing::new();
         p.apply("shared", Tuple::file(mw1.tick(), 7));
@@ -2524,17 +2507,17 @@ mod tests {
         let msgs = mw1.take_outbox();
         assert_eq!(msgs.len(), 1);
         // mw2 learns of the update and fetches it.
-        assert!(mw2.on_gossip(&msgs[0]).unwrap());
+        assert!(mw2.on_gossip_batch(&msgs[..1]).remove(0).unwrap());
         let ring = mw2.read_ring(&mut ctx, &keys, ns(1)).unwrap();
         assert!(ring.get("shared").is_some());
         // Replayed gossip is aborted (loop-back avoidance).
-        assert!(!mw2.on_gossip(&msgs[0]).unwrap());
+        assert!(!mw2.on_gossip_batch(&msgs[..1]).remove(0).unwrap());
     }
 
     #[test]
     fn gossip_merges_divergent_views_both_ways() {
         let (cluster, mw1, keys) = setup(MaintenanceMode::Deferred);
-        let mw2 = H2Middleware::new(NodeId(2), cluster, MaintenanceMode::Deferred);
+        let mw2 = node(&cluster, 2, MaintenanceMode::Deferred, false);
         let mut ctx = OpCtx::for_test();
         // Both nodes patch the same ring, unaware of each other.
         let mut p1 = NameRing::new();
@@ -2551,7 +2534,7 @@ mod tests {
         assert_eq!(g.live_len(), 2, "second merge lost first node's update");
         // Gossip completes the exchange: node 1 hears node 2's update.
         for msg in mw2.take_outbox() {
-            mw1.on_gossip(&msg).unwrap();
+            mw1.on_gossip_batch(&[msg]).remove(0).unwrap();
         }
         let r1 = mw1.read_ring(&mut ctx, &keys, ns(1)).unwrap();
         assert_eq!(r1.live_len(), 2);
@@ -2663,30 +2646,9 @@ mod tests {
     }
 
     fn setup_grouped(mode: MaintenanceMode) -> (Arc<Cluster>, Arc<H2Middleware>, H2Keys) {
-        let cluster = Cluster::new(ClusterConfig {
-            nodes: 4,
-            replicas: 3,
-            part_power: 6,
-            cost: Arc::new(h2util::CostModel::zero()),
-            faults: None,
-        });
-        cluster.create_account("alice").unwrap();
-        cluster
-            .create_container("alice", crate::keys::H2_CONTAINER, false)
-            .unwrap();
-        let mw = H2Middleware::with_observability(
-            NodeId(1),
-            cluster.clone(),
-            mode,
-            Arc::new(MetricsRegistry::new()),
-            0,
-            Arc::new(TraceCollector::disabled()),
-            true,
-            false,
-            false,
-            false,
-        );
-        (cluster, mw, H2Keys::new("alice"))
+        let (cluster, _, keys) = setup(mode);
+        let mw = node(&cluster, 1, mode, true);
+        (cluster, mw, keys)
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Chunk-boundary edge cases for the content-addressed content plane.
 //!
-//! These tests force `cas: true` at runtime (like the fsck tamper test) so
-//! they exercise the CAS plane on every feature leg. They pin the chunker's
-//! observable contract through the full stack: empty files, files exactly
-//! at the min/target/max chunk sizes, prefix-stability of a single-byte
-//! append (only the tail block is rewritten), and refcount accounting
-//! under overwrite/delete churn — live blocks must return to zero when the
-//! last referencing file goes away.
+//! These tests set `cas: true` (the default plane stores whole objects
+//! and multipart stripes). They pin the chunker's observable contract
+//! through the full stack: empty files, files exactly at the
+//! min/target/max chunk sizes, prefix-stability of a single-byte append
+//! (only the tail block is rewritten), and refcount accounting under
+//! overwrite/delete churn — live blocks must return to zero when the last
+//! referencing file goes away.
 
 use h2cloud::check::fsck;
 use h2cloud::{H2Cloud, H2Config};

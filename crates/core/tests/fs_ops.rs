@@ -10,7 +10,16 @@ fn p(s: &str) -> FsPath {
 }
 
 fn setup() -> (H2Cloud, OpCtx) {
-    let fs = H2Cloud::new(H2Config::for_test());
+    setup_plane(false)
+}
+
+/// `for_test()` with the CAS content plane on or off, for the tests whose
+/// object and GET counts depend on the content format.
+fn setup_plane(cas: bool) -> (H2Cloud, OpCtx) {
+    let fs = H2Cloud::new(H2Config {
+        cas,
+        ..H2Config::for_test()
+    });
     let mut ctx = OpCtx::for_test();
     fs.create_account(&mut ctx, "alice").unwrap();
     (fs, ctx)
@@ -375,43 +384,45 @@ fn file_access_cost_grows_with_depth() {
 
 #[test]
 fn quick_relative_access_is_one_get() {
-    let (fs, mut ctx) = setup();
-    fs.mkdir(&mut ctx, "alice", &p("/deep")).unwrap();
-    fs.mkdir(&mut ctx, "alice", &p("/deep/deeper")).unwrap();
-    fs.write(
-        &mut ctx,
-        "alice",
-        &p("/deep/deeper/target"),
-        FileContent::from_str("found"),
-    )
-    .unwrap();
-    // Discover the parent namespace once via the regular method…
-    let mw = fs.layer().mw_for_account("alice");
-    let keys = h2cloud::H2Keys::new("alice");
-    let mut walk = OpCtx::for_test();
-    let root = mw
-        .read_ring(&mut walk, &keys, h2util::NamespaceId::ROOT)
+    for cas in [false, true] {
+        let (fs, mut ctx) = setup_plane(cas);
+        fs.mkdir(&mut ctx, "alice", &p("/deep")).unwrap();
+        fs.mkdir(&mut ctx, "alice", &p("/deep/deeper")).unwrap();
+        fs.write(
+            &mut ctx,
+            "alice",
+            &p("/deep/deeper/target"),
+            FileContent::from_str("found"),
+        )
         .unwrap();
-    let deep_ns = match root.get("deep").unwrap().child {
-        h2cloud::ChildRef::Dir { ns } => ns,
-        _ => unreachable!(),
-    };
-    let deep = mw.read_ring(&mut walk, &keys, deep_ns).unwrap();
-    let deeper_ns = match deep.get("deeper").unwrap().child {
-        h2cloud::ChildRef::Dir { ns } => ns,
-        _ => unreachable!(),
-    };
-    // …then the quick method is exactly one GET.
-    let mut quick = OpCtx::for_test();
-    let content = fs
-        .read_relative(&mut quick, "alice", deeper_ns, "target")
-        .unwrap();
-    assert_eq!(content, FileContent::from_str("found"));
-    // Still depth-independent with the CAS plane on — but a content read
-    // is then manifest + leaf instead of a single whole object.
-    let expected = if mw.cas_active() { 2 } else { 1 };
-    assert_eq!(quick.counts().gets, expected);
-    assert_eq!(quick.counts().total(), expected);
+        // Discover the parent namespace once via the regular method…
+        let mw = fs.layer().mw_for_account("alice");
+        let keys = h2cloud::H2Keys::new("alice");
+        let mut walk = OpCtx::for_test();
+        let root = mw
+            .read_ring(&mut walk, &keys, h2util::NamespaceId::ROOT)
+            .unwrap();
+        let deep_ns = match root.get("deep").unwrap().child {
+            h2cloud::ChildRef::Dir { ns } => ns,
+            _ => unreachable!(),
+        };
+        let deep = mw.read_ring(&mut walk, &keys, deep_ns).unwrap();
+        let deeper_ns = match deep.get("deeper").unwrap().child {
+            h2cloud::ChildRef::Dir { ns } => ns,
+            _ => unreachable!(),
+        };
+        // …then the quick method is exactly one GET.
+        let mut quick = OpCtx::for_test();
+        let content = fs
+            .read_relative(&mut quick, "alice", deeper_ns, "target")
+            .unwrap();
+        assert_eq!(content, FileContent::from_str("found"));
+        // Still depth-independent with the CAS plane on — but a content read
+        // is then manifest + leaf instead of a single whole object.
+        let expected = if cas { 2 } else { 1 };
+        assert_eq!(quick.counts().gets, expected);
+        assert_eq!(quick.counts().total(), expected);
+    }
 }
 
 #[test]
@@ -443,17 +454,19 @@ fn rmdir_is_o1_in_backend_ops() {
 
 #[test]
 fn storage_stats_count_h2_overhead_objects() {
-    let (fs, mut ctx) = setup();
-    let base = fs.storage_stats().objects; // root ring
-    fs.mkdir(&mut ctx, "alice", &p("/d")).unwrap();
-    // +2: descriptor + the new directory's NameRing.
-    assert_eq!(fs.storage_stats().objects, base + 2);
-    fs.write(&mut ctx, "alice", &p("/d/f"), FileContent::from_str("x"))
-        .unwrap();
-    // +1 content object — or, on the CAS plane, a manifest plus one leaf
-    // block (the tiny file fits a single chunk).
-    let content_objects = if fs.layer().mw(0).cas_active() { 2 } else { 1 };
-    assert_eq!(fs.storage_stats().objects, base + 2 + content_objects);
-    assert!(!fs.uses_separate_index());
-    assert_eq!(fs.storage_stats().index_records, 0);
+    for cas in [false, true] {
+        let (fs, mut ctx) = setup_plane(cas);
+        let base = fs.storage_stats().objects; // root ring
+        fs.mkdir(&mut ctx, "alice", &p("/d")).unwrap();
+        // +2: descriptor + the new directory's NameRing.
+        assert_eq!(fs.storage_stats().objects, base + 2);
+        fs.write(&mut ctx, "alice", &p("/d/f"), FileContent::from_str("x"))
+            .unwrap();
+        // +1 content object — or, on the CAS plane, a manifest plus one leaf
+        // block (the tiny file fits a single chunk).
+        let content_objects = if cas { 2 } else { 1 };
+        assert_eq!(fs.storage_stats().objects, base + 2 + content_objects);
+        assert!(!fs.uses_separate_index());
+        assert_eq!(fs.storage_stats().index_records, 0);
+    }
 }

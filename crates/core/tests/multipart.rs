@@ -16,7 +16,16 @@ fn p(s: &str) -> FsPath {
 }
 
 fn setup() -> (H2Cloud, OpCtx) {
-    let fs = H2Cloud::new(H2Config::for_test());
+    setup_plane(false)
+}
+
+/// `for_test()` with the CAS content plane on or off, for the tests whose
+/// object and GET counts depend on the content format.
+fn setup_plane(cas: bool) -> (H2Cloud, OpCtx) {
+    let fs = H2Cloud::new(H2Config {
+        cas,
+        ..H2Config::for_test()
+    });
     let mut ctx = OpCtx::for_test();
     fs.create_account(&mut ctx, "alice").unwrap();
     (fs, ctx)
@@ -70,73 +79,76 @@ fn big_simulated_content_round_trips_and_stats() {
 
 #[test]
 fn boundary_sizes_stay_single_object() {
-    let (fs, mut ctx) = setup();
-    let cas = fs.layer().mw(0).cas_active();
-    fs.write(
-        &mut ctx,
-        "alice",
-        &p("/edge"),
-        FileContent::Simulated(PART_BYTES),
-    )
-    .unwrap();
-    if cas {
-        // The CAS plane chunks every file regardless of the multipart
-        // boundary: root ring + manifest + at least one leaf block.
-        assert!(fs.storage_stats().objects >= 3);
-    } else {
-        // Exactly PART_BYTES is NOT striped: root ring + one content object.
-        assert_eq!(fs.storage_stats().objects, 2);
+    for cas in [false, true] {
+        let (fs, mut ctx) = setup_plane(cas);
+        fs.write(
+            &mut ctx,
+            "alice",
+            &p("/edge"),
+            FileContent::Simulated(PART_BYTES),
+        )
+        .unwrap();
+        if cas {
+            // The CAS plane chunks every file regardless of the multipart
+            // boundary: root ring + manifest + at least one leaf block.
+            assert!(fs.storage_stats().objects >= 3);
+        } else {
+            // Exactly PART_BYTES is NOT striped: root ring + one content object.
+            assert_eq!(fs.storage_stats().objects, 2);
+        }
+        // One byte more is.
+        let before = fs.storage_stats().objects;
+        fs.write(
+            &mut ctx,
+            "alice",
+            &p("/over"),
+            FileContent::Simulated(PART_BYTES + 1),
+        )
+        .unwrap();
+        if cas {
+            // A second distinct file adds its own manifest plus fresh blocks.
+            assert!(fs.storage_stats().objects >= before + 2);
+        } else {
+            assert_eq!(fs.storage_stats().objects, 2 + 1 + 2); // + manifest + 2 parts
+        }
+        assert_eq!(
+            fs.stat(&mut ctx, "alice", &p("/over")).unwrap().size,
+            PART_BYTES + 1
+        );
     }
-    // One byte more is.
-    let before = fs.storage_stats().objects;
-    fs.write(
-        &mut ctx,
-        "alice",
-        &p("/over"),
-        FileContent::Simulated(PART_BYTES + 1),
-    )
-    .unwrap();
-    if cas {
-        // A second distinct file adds its own manifest plus fresh blocks.
-        assert!(fs.storage_stats().objects >= before + 2);
-    } else {
-        assert_eq!(fs.storage_stats().objects, 2 + 1 + 2); // + manifest + 2 parts
-    }
-    assert_eq!(
-        fs.stat(&mut ctx, "alice", &p("/over")).unwrap().size,
-        PART_BYTES + 1
-    );
 }
 
 #[test]
 fn overwrite_reclaims_the_old_generation() {
-    let (fs, mut ctx) = setup();
-    fs.write(&mut ctx, "alice", &p("/f"), FileContent::Simulated(BIG))
-        .unwrap();
-    let striped = fs.storage_stats().objects;
-    // big → big: fresh generation replaces the old one object-for-object.
-    fs.write(&mut ctx, "alice", &p("/f"), FileContent::Simulated(BIG + 1))
-        .unwrap();
-    assert_eq!(fs.storage_stats().objects, striped);
-    assert_eq!(
-        fs.read(&mut ctx, "alice", &p("/f")).unwrap(),
-        FileContent::Simulated(BIG + 1)
-    );
-    // big → small: parts and manifest collapse back to one object (under
-    // CAS: root ring + manifest + one leaf block).
-    fs.write(&mut ctx, "alice", &p("/f"), FileContent::from_str("tiny"))
-        .unwrap();
-    let small = if fs.layer().mw(0).cas_active() { 3 } else { 2 };
-    assert_eq!(fs.storage_stats().objects, small);
-    assert_eq!(
-        fs.read(&mut ctx, "alice", &p("/f")).unwrap(),
-        FileContent::from_str("tiny")
-    );
-    // small → big again still works.
-    fs.write(&mut ctx, "alice", &p("/f"), FileContent::Simulated(BIG))
-        .unwrap();
-    assert_eq!(fs.storage_stats().objects, striped);
-    assert!(fsck(&fs, &mut ctx, "alice").unwrap().is_clean());
+    for cas in [false, true] {
+        let (fs, mut ctx) = setup_plane(cas);
+        fs.write(&mut ctx, "alice", &p("/f"), FileContent::Simulated(BIG))
+            .unwrap();
+        let striped = fs.storage_stats().objects;
+        // big → big: fresh generation replaces the old one object-for-object.
+        fs.write(&mut ctx, "alice", &p("/f"), FileContent::Simulated(BIG + 1))
+            .unwrap();
+        assert_eq!(fs.storage_stats().objects, striped);
+        assert_eq!(
+            fs.read(&mut ctx, "alice", &p("/f")).unwrap(),
+            FileContent::Simulated(BIG + 1)
+        );
+        // big → small: parts and manifest collapse back to one object (under
+        // CAS: root ring + manifest + one leaf block).
+        fs.write(&mut ctx, "alice", &p("/f"), FileContent::from_str("tiny"))
+            .unwrap();
+        let small = if cas { 3 } else { 2 };
+        assert_eq!(fs.storage_stats().objects, small);
+        assert_eq!(
+            fs.read(&mut ctx, "alice", &p("/f")).unwrap(),
+            FileContent::from_str("tiny")
+        );
+        // small → big again still works.
+        fs.write(&mut ctx, "alice", &p("/f"), FileContent::Simulated(BIG))
+            .unwrap();
+        assert_eq!(fs.storage_stats().objects, striped);
+        assert!(fsck(&fs, &mut ctx, "alice").unwrap().is_clean());
+    }
 }
 
 #[test]
@@ -186,49 +198,54 @@ fn copy_and_move_big_files() {
 /// (plus the manifest), not the whole object's serial transfer time.
 #[test]
 fn parallel_fanout_beats_serial_transfer() {
-    let fs = H2Cloud::rack();
-    let model = fs.cost_model();
-    let mut ctx = OpCtx::new(model.clone());
-    fs.create_account(&mut ctx, "alice").unwrap();
-    let size = 12 * 1024 * 1024u64; // 3 parts
-    fs.write(&mut ctx, "alice", &p("/big"), FileContent::Simulated(size))
+    for cas in [false, true] {
+        let fs = H2Cloud::new(H2Config {
+            cas,
+            ..H2Config::default()
+        });
+        let model = fs.cost_model();
+        let mut ctx = OpCtx::new(model.clone());
+        fs.create_account(&mut ctx, "alice").unwrap();
+        let size = 12 * 1024 * 1024u64; // 3 parts
+        fs.write(&mut ctx, "alice", &p("/big"), FileContent::Simulated(size))
+            .unwrap();
+        let mut read_ctx = OpCtx::new(model.clone());
+        fs.read(&mut read_ctx, "alice", &p("/big")).unwrap();
+        let serial = model.get_cost(size as usize);
+        assert!(
+            read_ctx.elapsed() < serial,
+            "striped read {:?} should beat the serial transfer {:?}",
+            read_ctx.elapsed(),
+            serial
+        );
+        // A file wider than one fan-out wave still reads in ~one part-time:
+        // 32 × 4 MiB parts land together under the cost model's parallelism.
+        let wide = 128 * 1024 * 1024u64;
+        fs.write(&mut ctx, "alice", &p("/wide"), FileContent::Simulated(wide))
+            .unwrap();
+        let mut wide_ctx = OpCtx::new(model.clone());
+        fs.read(&mut wide_ctx, "alice", &p("/wide")).unwrap();
+        let wide_serial = model.get_cost(wide as usize);
+        assert!(
+            wide_ctx.elapsed() < wide_serial / 4,
+            "striped read {:?} should beat a quarter of the serial transfer {:?}",
+            wide_ctx.elapsed(),
+            wide_serial
+        );
+        // Small files still pay exactly the single-GET path: resolve + 1 GET
+        // (the CAS plane adds one more for the manifest → leaf hop).
+        fs.write(
+            &mut ctx,
+            "alice",
+            &p("/small"),
+            FileContent::Simulated(1024),
+        )
         .unwrap();
-    let mut read_ctx = OpCtx::new(model.clone());
-    fs.read(&mut read_ctx, "alice", &p("/big")).unwrap();
-    let serial = model.get_cost(size as usize);
-    assert!(
-        read_ctx.elapsed() < serial,
-        "striped read {:?} should beat the serial transfer {:?}",
-        read_ctx.elapsed(),
-        serial
-    );
-    // A file wider than one fan-out wave still reads in ~one part-time:
-    // 32 × 4 MiB parts land together under the cost model's parallelism.
-    let wide = 128 * 1024 * 1024u64;
-    fs.write(&mut ctx, "alice", &p("/wide"), FileContent::Simulated(wide))
-        .unwrap();
-    let mut wide_ctx = OpCtx::new(model.clone());
-    fs.read(&mut wide_ctx, "alice", &p("/wide")).unwrap();
-    let wide_serial = model.get_cost(wide as usize);
-    assert!(
-        wide_ctx.elapsed() < wide_serial / 4,
-        "striped read {:?} should beat a quarter of the serial transfer {:?}",
-        wide_ctx.elapsed(),
-        wide_serial
-    );
-    // Small files still pay exactly the single-GET path: resolve + 1 GET
-    // (the CAS plane adds one more for the manifest → leaf hop).
-    fs.write(
-        &mut ctx,
-        "alice",
-        &p("/small"),
-        FileContent::Simulated(1024),
-    )
-    .unwrap();
-    let mut small_ctx = OpCtx::new(model.clone());
-    fs.read(&mut small_ctx, "alice", &p("/small")).unwrap();
-    let expected = if fs.layer().mw(0).cas_active() { 3 } else { 2 };
-    assert_eq!(small_ctx.counts().gets, expected); // ring + (manifest +) content
+        let mut small_ctx = OpCtx::new(model.clone());
+        fs.read(&mut small_ctx, "alice", &p("/small")).unwrap();
+        let expected = if cas { 3 } else { 2 };
+        assert_eq!(small_ctx.counts().gets, expected); // ring + (manifest +) content
+    }
 }
 
 /// A resolve level served from the parsed-ring cache charges the in-memory

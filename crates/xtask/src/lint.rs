@@ -5,7 +5,6 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::baseline::{self, BaselineState, Diff};
 use crate::config::{self, Config};
 use crate::dataflow::{self, Globals, ParsedFile};
 use crate::rules::{self, Finding};
@@ -84,7 +83,7 @@ fn walk(root: &Path, dir: &Path, cfg: &Config, out: &mut Vec<String>) -> Result<
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if name == "target" || name.starts_with('.') {
+            if name == "target" || name.starts_with('.') || is_own_workspace(&path) {
                 continue;
             }
             let rel = rel_str(root, &path);
@@ -107,6 +106,16 @@ fn walk(root: &Path, dir: &Path, cfg: &Config, out: &mut Vec<String>) -> Result<
     Ok(())
 }
 
+/// True when `dir/Cargo.toml` declares its own `[workspace]`: a separate
+/// cargo workspace nested in the tree is not part of this one, so the lint
+/// does not descend into it.
+fn is_own_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|toml| {
+        toml.lines()
+            .any(|l| l.split('#').next().unwrap_or("").trim() == "[workspace]")
+    })
+}
+
 fn rel_str(root: &Path, path: &Path) -> String {
     path.strip_prefix(root)
         .unwrap_or(path)
@@ -114,46 +123,33 @@ fn rel_str(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Render findings, their baseline disposition, and per-rule totals.
-/// Returns the process exit code: non-zero iff there are NEW findings
-/// (baselined debt passes).
-pub fn report(findings: &[Finding], diff: &Diff) -> i32 {
-    for (f, state) in findings.iter().zip(&diff.states) {
-        let tag = match state {
-            BaselineState::New => "",
-            BaselineState::Baselined => " (baselined)",
-        };
-        println!("{}{tag}", baseline::format_line(f));
+/// The canonical one-line form of a finding: `file:line: [rule] message`.
+pub fn format_line(f: &Finding) -> String {
+    format!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message)
+}
+
+/// Render findings and per-rule totals. Returns the process exit code:
+/// non-zero iff there is any finding.
+pub fn report(findings: &[Finding]) -> i32 {
+    for f in findings {
+        println!("{}", format_line(f));
     }
-    for line in &diff.fixed {
-        println!("fixed (no longer found, refresh the baseline): {line}");
+    if findings.is_empty() {
+        println!("h2lint: clean — 0 findings");
+        return 0;
     }
     let mut by_rule: Vec<(&str, usize)> = Vec::new();
-    for (f, state) in findings.iter().zip(&diff.states) {
-        if *state != BaselineState::New {
-            continue;
-        }
+    for f in findings {
         match by_rule.iter_mut().find(|(r, _)| *r == f.rule) {
             Some((_, n)) => *n += 1,
             None => by_rule.push((f.rule, 1)),
         }
     }
-    if diff.new_count == 0 {
-        println!(
-            "h2lint: clean — 0 new finding(s), {} baselined, {} fixed",
-            diff.baselined_count,
-            diff.fixed.len()
-        );
-        0
-    } else {
-        let breakdown: Vec<String> = by_rule.iter().map(|(r, n)| format!("{r}: {n}")).collect();
-        println!(
-            "h2lint: {} NEW finding(s) ({}), {} baselined, {} fixed",
-            diff.new_count,
-            breakdown.join(", "),
-            diff.baselined_count,
-            diff.fixed.len()
-        );
-        1
-    }
+    let breakdown: Vec<String> = by_rule.iter().map(|(r, n)| format!("{r}: {n}")).collect();
+    println!(
+        "h2lint: {} finding(s) ({})",
+        findings.len(),
+        breakdown.join(", ")
+    );
+    1
 }

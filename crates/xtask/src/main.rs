@@ -1,12 +1,11 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use xtask::{baseline, benchcmp, lint, sarif};
+use xtask::{benchcmp, lint, sarif};
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: cargo run -p xtask -- lint [--config <h2lint.toml>] [--sarif <out.sarif>]\n\
-         \x20                                [--baseline <h2lint.baseline>] [--update-baseline]\n\
          \x20                                [--max-seconds N] [<workspace-root>]"
     );
     eprintln!(
@@ -19,8 +18,6 @@ fn usage() -> ExitCode {
 fn run_lint(args: &[String]) -> ExitCode {
     let mut config_path: Option<PathBuf> = None;
     let mut sarif_path: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut update_baseline = false;
     let mut max_seconds: Option<u64> = None;
     let mut root: Option<PathBuf> = None;
     let mut it = args.iter();
@@ -34,11 +31,6 @@ fn run_lint(args: &[String]) -> ExitCode {
                 Some(p) => sarif_path = Some(PathBuf::from(p)),
                 None => return usage(),
             },
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--update-baseline" => update_baseline = true,
             "--max-seconds" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
                 Some(n) => max_seconds = Some(n),
                 None => return usage(),
@@ -65,41 +57,18 @@ fn run_lint(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let baseline_file = baseline_path.unwrap_or_else(|| root.join("h2lint.baseline"));
-
-    if update_baseline {
-        let body = baseline::render(&findings);
-        if let Err(e) = std::fs::write(&baseline_file, body) {
-            eprintln!("h2lint: cannot write {}: {e}", baseline_file.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "h2lint: baseline updated — {} finding(s) written to {}",
-            findings.len(),
-            baseline_file.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    // A missing baseline file means an empty baseline: every finding is new.
-    let known = match std::fs::read_to_string(&baseline_file) {
-        Ok(body) => baseline::parse(&body),
-        Err(_) => Default::default(),
-    };
-    let diff = baseline::diff(&findings, &known);
-
     if let Some(out) = &sarif_path {
-        let doc = sarif::render(&findings, &diff.states);
+        let doc = sarif::render(&findings);
         if let Err(e) = std::fs::write(out, doc) {
             eprintln!("h2lint: cannot write {}: {e}", out.display());
             return ExitCode::from(2);
         }
     }
-    // Publish the findings delta to the CI job summary when available —
-    // baselined-debt drift should be visible on green runs too.
+    // Publish the per-rule findings table to the CI job summary when
+    // available.
     if let Ok(summary) = std::env::var("GITHUB_STEP_SUMMARY") {
         if !summary.is_empty() {
-            let table = markdown_summary(&findings, &diff);
+            let table = markdown_summary(&findings);
             if let Err(e) = std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
@@ -111,7 +80,7 @@ fn run_lint(args: &[String]) -> ExitCode {
         }
     }
 
-    let code = lint::report(&findings, &diff);
+    let code = lint::report(&findings);
 
     if let Some(budget) = max_seconds {
         let elapsed = started.elapsed().as_secs_f64();
@@ -127,39 +96,16 @@ fn run_lint(args: &[String]) -> ExitCode {
     ExitCode::from(code as u8)
 }
 
-/// A benchcmp-style markdown delta table for `$GITHUB_STEP_SUMMARY`:
-/// per-rule new/baselined counts plus fixed baseline lines.
-fn markdown_summary(findings: &[xtask::rules::Finding], diff: &baseline::Diff) -> String {
-    use std::collections::BTreeMap;
-    let mut rows: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
-    for (id, _) in sarif::RULE_CATALOGUE {
-        rows.insert(id, (0, 0));
+/// A benchcmp-style markdown table for `$GITHUB_STEP_SUMMARY`: findings
+/// per rule.
+fn markdown_summary(findings: &[xtask::rules::Finding]) -> String {
+    let mut out = String::from("### h2lint findings\n\n| rule | findings |\n|---|---:|\n");
+    for (rule, _) in sarif::RULE_CATALOGUE {
+        let n = findings.iter().filter(|f| f.rule == rule).count();
+        let marker = if n > 0 { " ❌" } else { "" };
+        out.push_str(&format!("| `{rule}` | {n}{marker} |\n"));
     }
-    for (f, state) in findings.iter().zip(&diff.states) {
-        let row = rows.entry(f.rule).or_insert((0, 0));
-        match state {
-            baseline::BaselineState::New => row.0 += 1,
-            baseline::BaselineState::Baselined => row.1 += 1,
-        }
-    }
-    let mut out =
-        String::from("### h2lint findings\n\n| rule | new | baselined |\n|---|---:|---:|\n");
-    for (rule, (new, old)) in &rows {
-        let marker = if *new > 0 { " ❌" } else { "" };
-        out.push_str(&format!("| `{rule}` | {new}{marker} | {old} |\n"));
-    }
-    out.push_str(&format!(
-        "\n**{} new**, {} baselined, {} fixed{}\n",
-        diff.new_count,
-        diff.baselined_count,
-        diff.fixed.len(),
-        if diff.fixed.is_empty() {
-            String::new()
-        } else {
-            " (refresh the baseline with `cargo run -p xtask -- lint --update-baseline`)"
-                .to_string()
-        }
-    ));
+    out.push_str(&format!("\n**{} finding(s)**\n", findings.len()));
     out
 }
 

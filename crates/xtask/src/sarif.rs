@@ -5,7 +5,6 @@
 //! over the same tree produce byte-identical documents, which the
 //! workspace test asserts.
 
-use crate::baseline::BaselineState;
 use crate::rules::Finding;
 
 /// The fixed rule catalogue: (id, short description) in output order.
@@ -45,8 +44,7 @@ pub const RULE_CATALOGUE: [(&str, &str); 7] = [
 ];
 
 /// Render findings (already globally sorted) as a SARIF 2.1.0 document.
-/// `states` parallels `findings`: the baseline disposition of each.
-pub fn render(findings: &[Finding], states: &[BaselineState]) -> String {
+pub fn render(findings: &[Finding]) -> String {
     let mut out = String::with_capacity(4096 + findings.len() * 256);
     out.push_str("{\n");
     out.push_str("  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n");
@@ -72,17 +70,9 @@ pub fn render(findings: &[Finding], states: &[BaselineState]) -> String {
     out.push_str("          ]\n        }\n      },\n");
     out.push_str("      \"results\": [\n");
     for (k, f) in findings.iter().enumerate() {
-        let state = states.get(k).copied().unwrap_or(BaselineState::New);
         out.push_str("        {\n");
         out.push_str(&format!("          \"ruleId\": {},\n", json_string(f.rule)));
         out.push_str("          \"level\": \"error\",\n");
-        out.push_str(&format!(
-            "          \"baselineState\": {},\n",
-            json_string(match state {
-                BaselineState::New => "new",
-                BaselineState::Baselined => "unchanged",
-            })
-        ));
         out.push_str(&format!(
             "          \"message\": {{ \"text\": {} }},\n",
             json_string(&f.message)
@@ -153,13 +143,10 @@ mod tests {
                 message: "Instant::now".into(),
             },
         ];
-        let states = vec![BaselineState::New, BaselineState::Baselined];
-        let a = render(&findings, &states);
-        let b = render(&findings, &states);
+        let a = render(&findings);
+        let b = render(&findings);
         assert_eq!(a, b);
         assert!(a.contains("\"version\": \"2.1.0\""));
-        assert!(a.contains("\"baselineState\": \"new\""));
-        assert!(a.contains("\"baselineState\": \"unchanged\""));
         assert!(a.contains("\"startLine\": 7"));
         // Every rule in the catalogue is declared.
         for (id, _) in RULE_CATALOGUE {

@@ -1,15 +1,15 @@
 //! The gate: `cargo test` fails if the real workspace tree has any lint
-//! finding that is not in the checked-in `h2lint.baseline`, so invariant
-//! regressions surface in tier-1, not just in the dedicated CI job.
-//! Also pins the derived facts the v2 analyzer infers from the tree (the
-//! cloud-op set, the rank table) and the byte-determinism of the SARIF
-//! and baseline renderers.
+//! finding, so invariant regressions surface in tier-1, not just in the
+//! dedicated CI job. Also pins the derived facts the v2 analyzer infers
+//! from the tree (the cloud-op set, the rank table), the byte-determinism
+//! of the SARIF renderer, and the rule that nested cargo workspaces are
+//! not walked.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use xtask::lint::analyze_tree;
-use xtask::{baseline, sarif};
+use xtask::lint::{analyze_tree, format_line, lint_tree};
+use xtask::sarif;
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -20,24 +20,46 @@ fn workspace_root() -> PathBuf {
 }
 
 #[test]
-fn workspace_tree_has_no_unbaselined_findings() {
-    let root = workspace_root();
-    let (findings, _) = analyze_tree(&root, None).expect("lint runs");
-    let body = std::fs::read_to_string(root.join("h2lint.baseline")).unwrap_or_default();
-    let diff = baseline::diff(&findings, &baseline::parse(&body));
-    let new: Vec<String> = findings
+fn workspace_tree_has_no_findings() {
+    let (findings, _) = analyze_tree(&workspace_root(), None).expect("lint runs");
+    let lines: Vec<String> = findings
         .iter()
-        .zip(&diff.states)
-        .filter(|(_, s)| **s == baseline::BaselineState::New)
-        .map(|(f, _)| format!("  {}", baseline::format_line(f)))
+        .map(|f| format!("  {}", format_line(f)))
         .collect();
     assert!(
-        new.is_empty(),
-        "h2lint found {} NEW problem(s) in the workspace (fix them or, for \
-         triaged debt, refresh h2lint.baseline):\n{}",
-        new.len(),
-        new.join("\n")
+        findings.is_empty(),
+        "h2lint found {} problem(s) in the workspace:\n{}",
+        findings.len(),
+        lines.join("\n")
     );
+}
+
+#[test]
+fn walk_skips_directories_that_declare_their_own_workspace() {
+    // A member crate and a nested, separate cargo workspace carry the same
+    // determinism violation; only the member's is reported.
+    let root = std::env::temp_dir().join(format!("h2lint-nested-ws-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let bad = "pub fn f() -> std::time::Instant { std::time::Instant::now() }\n";
+    for (rel, body) in [
+        ("h2lint.toml", "[lint]\nskip = []\n"),
+        ("Cargo.toml", "[workspace]\nmembers = [\"member\"]\n"),
+        ("member/Cargo.toml", "[package]\nname = \"member\"\n"),
+        ("member/src/lib.rs", bad),
+        (
+            "nested/Cargo.toml",
+            "[package]\nname = \"nested\"\n\n[workspace] # own lockfile\n",
+        ),
+        ("nested/src/lib.rs", bad),
+    ] {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().expect("has a parent")).expect("mkdir");
+        std::fs::write(&path, body).expect("write fixture");
+    }
+    let findings = lint_tree(&root, None).expect("lint runs");
+    let _ = std::fs::remove_dir_all(&root);
+    let files: BTreeSet<&str> = findings.iter().map(|f| f.file.as_str()).collect();
+    assert_eq!(files, BTreeSet::from(["member/src/lib.rs"]), "{findings:?}");
 }
 
 #[test]
@@ -106,17 +128,13 @@ fn inferred_rank_table_covers_the_lock_hierarchy() {
 }
 
 #[test]
-fn sarif_and_baseline_output_are_byte_deterministic() {
+fn sarif_output_is_byte_deterministic() {
     let root = workspace_root();
     let (f1, _) = analyze_tree(&root, None).expect("lint runs");
     let (f2, _) = analyze_tree(&root, None).expect("lint runs");
-    let body = std::fs::read_to_string(root.join("h2lint.baseline")).unwrap_or_default();
-    let d1 = baseline::diff(&f1, &baseline::parse(&body));
-    let d2 = baseline::diff(&f2, &baseline::parse(&body));
     assert_eq!(
-        sarif::render(&f1, &d1.states),
-        sarif::render(&f2, &d2.states),
+        sarif::render(&f1),
+        sarif::render(&f2),
         "SARIF output must be byte-identical across runs"
     );
-    assert_eq!(baseline::render(&f1), baseline::render(&f2));
 }

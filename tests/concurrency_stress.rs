@@ -13,6 +13,9 @@ use h2ring::DeviceId;
 use h2util::{CostModel, H2Error, NamespaceId, OpCtx};
 use swiftsim::{Cluster, ClusterConfig, Meta, ObjectKey, ObjectStore, Payload};
 
+mod common;
+use common::with_knobs;
+
 fn p(s: &str) -> FsPath {
     FsPath::parse(s).unwrap()
 }
@@ -216,68 +219,77 @@ fn h2cloud_concurrent_writers_one_middleware_lose_nothing() {
     const THREADS: usize = 6;
     const FILES: usize = 30;
 
-    let fs = Arc::new(H2Cloud::new(H2Config {
-        middlewares: 1,
-        mode: MaintenanceMode::Eager,
-        cluster: ClusterConfig {
-            cost: Arc::new(CostModel::zero()),
-            ..ClusterConfig::default()
-        },
-        cache_capacity: 128,
-        trace_sample: 0.0,
-        ..H2Config::default()
-    }));
-    let mut ctx = OpCtx::for_test();
-    fs.create_account(&mut ctx, "team").unwrap();
-    fs.mkdir(&mut ctx, "team", &p("/hot")).unwrap();
+    for knobs in [false, true] {
+        let fs = Arc::new(H2Cloud::new(with_knobs(
+            H2Config {
+                middlewares: 1,
+                mode: MaintenanceMode::Eager,
+                cluster: ClusterConfig {
+                    cost: Arc::new(CostModel::zero()),
+                    ..ClusterConfig::default()
+                },
+                cache_capacity: 128,
+                trace_sample: 0.0,
+                ..H2Config::default()
+            },
+            knobs,
+        )));
+        let mut ctx = OpCtx::for_test();
+        fs.create_account(&mut ctx, "team").unwrap();
+        fs.mkdir(&mut ctx, "team", &p("/hot")).unwrap();
 
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let fs = fs.clone();
-            scope.spawn(move || {
-                // Half the threads write into the shared hot directory,
-                // half build private subtrees.
-                let mut ctx = OpCtx::for_test();
-                if t % 2 == 0 {
-                    for i in 0..FILES {
-                        fs.write(
-                            &mut ctx,
-                            "team",
-                            &p(&format!("/hot/t{t}-f{i:02}")),
-                            FileContent::Simulated(64),
-                        )
-                        .unwrap();
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let fs = fs.clone();
+                scope.spawn(move || {
+                    // Half the threads write into the shared hot directory,
+                    // half build private subtrees.
+                    let mut ctx = OpCtx::for_test();
+                    if t % 2 == 0 {
+                        for i in 0..FILES {
+                            fs.write(
+                                &mut ctx,
+                                "team",
+                                &p(&format!("/hot/t{t}-f{i:02}")),
+                                FileContent::Simulated(64),
+                            )
+                            .unwrap();
+                        }
+                    } else {
+                        fs.mkdir(&mut ctx, "team", &p(&format!("/own{t}"))).unwrap();
+                        for i in 0..FILES {
+                            fs.write(
+                                &mut ctx,
+                                "team",
+                                &p(&format!("/own{t}/f{i:02}")),
+                                FileContent::Simulated(64),
+                            )
+                            .unwrap();
+                        }
                     }
-                } else {
-                    fs.mkdir(&mut ctx, "team", &p(&format!("/own{t}"))).unwrap();
-                    for i in 0..FILES {
-                        fs.write(
-                            &mut ctx,
-                            "team",
-                            &p(&format!("/own{t}/f{i:02}")),
-                            FileContent::Simulated(64),
-                        )
-                        .unwrap();
-                    }
-                }
-            });
+                });
+            }
+        });
+        fs.quiesce();
+
+        let mut ctx = OpCtx::for_test();
+        let hot = fs.list(&mut ctx, "team", &p("/hot")).unwrap();
+        assert_eq!(
+            hot.len(),
+            (THREADS / 2) * FILES,
+            "lost updates in the shared directory (knobs {knobs})"
+        );
+        for t in (1..THREADS).step_by(2) {
+            let own = fs.list(&mut ctx, "team", &p(&format!("/own{t}"))).unwrap();
+            assert_eq!(
+                own.len(),
+                FILES,
+                "thread {t} subtree incomplete (knobs {knobs})"
+            );
         }
-    });
-    fs.quiesce();
-
-    let mut ctx = OpCtx::for_test();
-    let hot = fs.list(&mut ctx, "team", &p("/hot")).unwrap();
-    assert_eq!(
-        hot.len(),
-        (THREADS / 2) * FILES,
-        "lost updates in the shared directory"
-    );
-    for t in (1..THREADS).step_by(2) {
-        let own = fs.list(&mut ctx, "team", &p(&format!("/own{t}"))).unwrap();
-        assert_eq!(own.len(), FILES, "thread {t} subtree incomplete");
+        let report = fsck(&fs, &mut ctx, "team").unwrap();
+        assert!(report.is_clean(), "knobs {knobs}: {:?}", report.violations);
     }
-    let report = fsck(&fs, &mut ctx, "team").unwrap();
-    assert!(report.is_clean(), "{:?}", report.violations);
 }
 
 #[test]
@@ -370,73 +382,82 @@ fn submit_patch_chain_survives_concurrent_merges() {
 
 #[test]
 fn h2cloud_concurrent_structure_churn_stays_consistent() {
-    // Threads repeatedly create + remove their own directories while one
-    // thread GCs concurrently — the tree must end consistent and fsck
-    // clean, with all survivors intact.
-    let fs = Arc::new(H2Cloud::new(H2Config {
-        middlewares: 1,
-        mode: MaintenanceMode::Eager,
-        cluster: ClusterConfig {
-            cost: Arc::new(CostModel::zero()),
-            ..ClusterConfig::default()
-        },
-        cache_capacity: 128,
-        trace_sample: 0.0,
-        ..H2Config::default()
-    }));
-    let mut ctx = OpCtx::for_test();
-    fs.create_account(&mut ctx, "team").unwrap();
+    for knobs in [false, true] {
+        // Threads repeatedly create + remove their own directories while one
+        // thread GCs concurrently — the tree must end consistent and fsck
+        // clean, with all survivors intact.
+        let fs = Arc::new(H2Cloud::new(with_knobs(
+            H2Config {
+                middlewares: 1,
+                mode: MaintenanceMode::Eager,
+                cluster: ClusterConfig {
+                    cost: Arc::new(CostModel::zero()),
+                    ..ClusterConfig::default()
+                },
+                cache_capacity: 128,
+                trace_sample: 0.0,
+                ..H2Config::default()
+            },
+            knobs,
+        )));
+        let mut ctx = OpCtx::for_test();
+        fs.create_account(&mut ctx, "team").unwrap();
 
-    std::thread::scope(|scope| {
-        for t in 0..4 {
-            let fs = fs.clone();
-            scope.spawn(move || {
-                let mut ctx = OpCtx::for_test();
-                for round in 0..10 {
-                    let dir = p(&format!("/churn-t{t}-r{round}"));
-                    fs.mkdir(&mut ctx, "team", &dir).unwrap();
-                    fs.write(
-                        &mut ctx,
-                        "team",
-                        &dir.child("payload").unwrap(),
-                        FileContent::Simulated(32),
-                    )
-                    .unwrap();
-                    if round % 2 == 0 {
-                        fs.rmdir(&mut ctx, "team", &dir).unwrap();
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let fs = fs.clone();
+                scope.spawn(move || {
+                    let mut ctx = OpCtx::for_test();
+                    for round in 0..10 {
+                        let dir = p(&format!("/churn-t{t}-r{round}"));
+                        fs.mkdir(&mut ctx, "team", &dir).unwrap();
+                        fs.write(
+                            &mut ctx,
+                            "team",
+                            &dir.child("payload").unwrap(),
+                            FileContent::Simulated(32),
+                        )
+                        .unwrap();
+                        if round % 2 == 0 {
+                            fs.rmdir(&mut ctx, "team", &dir).unwrap();
+                        }
                     }
-                }
-            });
-        }
-        {
-            let fs = fs.clone();
-            scope.spawn(move || {
-                let mut ctx = OpCtx::for_test();
-                for _ in 0..5 {
-                    // GC with an old horizon: concurrent-safe grace window.
-                    let _ = h2cloud::gc::collect(
-                        &fs,
-                        &mut ctx,
-                        "team",
-                        h2util::Timestamp::new(1, 0, h2util::NodeId(0)),
-                    );
-                    std::thread::yield_now();
-                }
-            });
-        }
-    });
-    fs.quiesce();
+                });
+            }
+            {
+                let fs = fs.clone();
+                scope.spawn(move || {
+                    let mut ctx = OpCtx::for_test();
+                    for _ in 0..5 {
+                        // GC with an old horizon: concurrent-safe grace window.
+                        let _ = h2cloud::gc::collect(
+                            &fs,
+                            &mut ctx,
+                            "team",
+                            h2util::Timestamp::new(1, 0, h2util::NodeId(0)),
+                        );
+                        std::thread::yield_now();
+                    }
+                });
+            }
+        });
+        fs.quiesce();
 
-    let mut ctx = OpCtx::for_test();
-    let survivors = fs.list(&mut ctx, "team", &p("/")).unwrap();
-    // Odd rounds survive: 5 per thread × 4 threads.
-    assert_eq!(survivors.len(), 20, "{survivors:?}");
-    for dir in &survivors {
-        let listing = fs.list(&mut ctx, "team", &p(&format!("/{dir}"))).unwrap();
-        assert_eq!(listing, vec!["payload".to_string()], "/{dir}");
+        let mut ctx = OpCtx::for_test();
+        let survivors = fs.list(&mut ctx, "team", &p("/")).unwrap();
+        // Odd rounds survive: 5 per thread × 4 threads.
+        assert_eq!(survivors.len(), 20, "knobs {knobs}: {survivors:?}");
+        for dir in &survivors {
+            let listing = fs.list(&mut ctx, "team", &p(&format!("/{dir}"))).unwrap();
+            assert_eq!(
+                listing,
+                vec!["payload".to_string()],
+                "knobs {knobs}: /{dir}"
+            );
+        }
+        let report = fsck(&fs, &mut ctx, "team").unwrap();
+        assert!(report.is_clean(), "knobs {knobs}: {:?}", report.violations);
     }
-    let report = fsck(&fs, &mut ctx, "team").unwrap();
-    assert!(report.is_clean(), "{:?}", report.violations);
 }
 
 #[test]

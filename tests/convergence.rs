@@ -10,24 +10,37 @@ use h2fsapi::{CloudFs, FileContent, FsPath};
 use h2util::OpCtx;
 use swiftsim::ClusterConfig;
 
+mod common;
+use common::with_knobs;
+
 fn p(s: &str) -> FsPath {
     FsPath::parse(s).unwrap()
 }
 
 fn h2(middlewares: usize) -> H2Cloud {
-    H2Cloud::new(H2Config {
-        middlewares,
-        mode: MaintenanceMode::Deferred,
-        cluster: ClusterConfig {
-            cost: std::sync::Arc::new(h2util::CostModel::zero()),
-            ..ClusterConfig::default()
+    h2_knobs(middlewares, false)
+}
+
+/// [`h2`] with group commit, the read path and the CAS plane all on or
+/// all off.
+fn h2_knobs(middlewares: usize, knobs: bool) -> H2Cloud {
+    H2Cloud::new(with_knobs(
+        H2Config {
+            middlewares,
+            mode: MaintenanceMode::Deferred,
+            cluster: ClusterConfig {
+                cost: std::sync::Arc::new(h2util::CostModel::zero()),
+                ..ClusterConfig::default()
+            },
+            // These tests read through specific middlewares (`via`) after
+            // lossy gossip and rely on read-through-global freshness —
+            // cache off.
+            cache_capacity: 0,
+            trace_sample: 0.0,
+            ..H2Config::default()
         },
-        // These tests read through specific middlewares (`via`) after lossy
-        // gossip and rely on read-through-global freshness — cache off.
-        cache_capacity: 0,
-        trace_sample: 0.0,
-        ..H2Config::default()
-    })
+        knobs,
+    ))
 }
 
 fn listing_on(fs: &H2Cloud, mw: usize, dir: &FsPath) -> Vec<String> {
@@ -148,58 +161,60 @@ fn gossip_faults_do_not_prevent_convergence() {
 
 #[test]
 fn threaded_writers_with_threaded_gossip_converge() {
-    let fs = Arc::new(h2(3));
-    let mut ctx = OpCtx::for_test();
-    fs.create_account(&mut ctx, "team").unwrap();
-    fs.mkdir(&mut ctx, "team", &p("/hot")).unwrap();
-    fs.quiesce();
-    let gossip = fs.layer().run_threaded();
-    std::thread::scope(|scope| {
-        for mw in 0..3 {
-            let fs = fs.clone();
-            scope.spawn(move || {
-                let view = fs.via(mw);
-                for i in 0..20 {
-                    let mut ctx = OpCtx::for_test();
-                    view.write(
-                        &mut ctx,
-                        "team",
-                        &p(&format!("/hot/t{mw}-{i:02}")),
-                        FileContent::Simulated(64),
-                    )
-                    .unwrap();
-                }
-            });
+    for knobs in [false, true] {
+        let fs = Arc::new(h2_knobs(3, knobs));
+        let mut ctx = OpCtx::for_test();
+        fs.create_account(&mut ctx, "team").unwrap();
+        fs.mkdir(&mut ctx, "team", &p("/hot")).unwrap();
+        fs.quiesce();
+        let gossip = fs.layer().run_threaded();
+        std::thread::scope(|scope| {
+            for mw in 0..3 {
+                let fs = fs.clone();
+                scope.spawn(move || {
+                    let view = fs.via(mw);
+                    for i in 0..20 {
+                        let mut ctx = OpCtx::for_test();
+                        view.write(
+                            &mut ctx,
+                            "team",
+                            &p(&format!("/hot/t{mw}-{i:02}")),
+                            FileContent::Simulated(64),
+                        )
+                        .unwrap();
+                    }
+                });
+            }
+        });
+        // All writers are done. Stop the threaded fabric (joins the gossip
+        // threads, so every in-flight inbox application has finished) and
+        // settle the remainder with the deterministic pump. The threaded phase
+        // exercised concurrent gossip under real contention; final convergence
+        // must not depend on how the scheduler treated those threads — on a
+        // loaded machine they can be starved for minutes, which is exactly the
+        // wall-clock flake the old 120 s polling deadline papered over.
+        gossip.stop();
+        fs.layer().pump().unwrap();
+        // Convergence is now deterministic; the deadline is a tight safety net.
+        let deadline = h2util::clock::wall_now() + std::time::Duration::from_secs(30);
+        loop {
+            let views: Vec<usize> = (0..3)
+                .map(|mw| listing_on(&fs, mw, &p("/hot")).len())
+                .collect();
+            if views.iter().all(|&v| v == 60) {
+                break;
+            }
+            assert!(
+                h2util::clock::wall_now() < deadline,
+                "no convergence (knobs {knobs}); views {views:?}"
+            );
+            h2util::clock::wall_sleep(std::time::Duration::from_millis(10));
         }
-    });
-    // All writers are done. Stop the threaded fabric (joins the gossip
-    // threads, so every in-flight inbox application has finished) and
-    // settle the remainder with the deterministic pump. The threaded phase
-    // exercised concurrent gossip under real contention; final convergence
-    // must not depend on how the scheduler treated those threads — on a
-    // loaded machine they can be starved for minutes, which is exactly the
-    // wall-clock flake the old 120 s polling deadline papered over.
-    gossip.stop();
-    fs.layer().pump().unwrap();
-    // Convergence is now deterministic; the deadline is a tight safety net.
-    let deadline = h2util::clock::wall_now() + std::time::Duration::from_secs(30);
-    loop {
-        let views: Vec<usize> = (0..3)
-            .map(|mw| listing_on(&fs, mw, &p("/hot")).len())
-            .collect();
-        if views.iter().all(|&v| v == 60) {
-            break;
+        // And the contents agree everywhere.
+        let reference = listing_on(&fs, 0, &p("/hot"));
+        for mw in 1..3 {
+            assert_eq!(listing_on(&fs, mw, &p("/hot")), reference);
         }
-        assert!(
-            h2util::clock::wall_now() < deadline,
-            "no convergence; views {views:?}"
-        );
-        h2util::clock::wall_sleep(std::time::Duration::from_millis(10));
-    }
-    // And the contents agree everywhere.
-    let reference = listing_on(&fs, 0, &p("/hot"));
-    for mw in 1..3 {
-        assert_eq!(listing_on(&fs, mw, &p("/hot")), reference);
     }
 }
 

@@ -106,6 +106,30 @@ fn h2_deferred_cas(cas: bool) -> H2Cloud {
     })
 }
 
+/// `for_test()` under each knob setting the suite checks: none, group
+/// commit, the read path (full-path cache, negative cache, hedged reads),
+/// group commit with the read path, the CAS content plane, and all three.
+fn knob_settings() -> Vec<H2Config> {
+    [
+        (false, false, false),
+        (true, false, false),
+        (false, true, false),
+        (true, true, false),
+        (false, false, true),
+        (true, true, true),
+    ]
+    .into_iter()
+    .map(|(group_commit, read_path, cas)| H2Config {
+        group_commit,
+        path_cache: read_path,
+        neg_cache: read_path,
+        hedged_reads: read_path,
+        cas,
+        ..H2Config::for_test()
+    })
+    .collect()
+}
+
 /// The base op universe plus the content-churn ops the CAS plane exists
 /// for: overwrites, growing appends and shared-content uploads. Sizes span
 /// sub-chunk to multi-chunk so both single-leaf and branch-bearing trees
@@ -155,16 +179,28 @@ proptest! {
     fn arbitrary_op_sequences_agree_and_leave_h2_consistent(
         ops in prop::collection::vec(arb_op(), 1..60)
     ) {
-        let h2 = H2Cloud::new(H2Config::for_test());
+        let h2s: Vec<(H2Cloud, String)> = knob_settings()
+            .into_iter()
+            .map(|cfg| {
+                let label = format!(
+                    "h2(group_commit={}, read_path={}, cas={})",
+                    cfg.group_commit, cfg.path_cache, cfg.cas
+                );
+                (H2Cloud::new(cfg), label)
+            })
+            .collect();
         let swift = SwiftFs::new(Cluster::new(ClusterConfig::tiny()), true);
+        let mut fss: Vec<(&dyn CloudFs, &str)> = vec![(&swift, "swift")];
+        fss.extend(h2s.iter().map(|(h2, label)| (h2 as &dyn CloudFs, label.as_str())));
         let mut ctx = OpCtx::for_test();
-        h2.create_account(&mut ctx, "u").unwrap();
-        swift.create_account(&mut ctx, "u").unwrap();
+        for (fs, _) in &fss {
+            fs.create_account(&mut ctx, "u").unwrap();
+        }
         let mut model = ModelFs::new();
 
         for op in &ops {
             let want = Trace::apply_model(&mut model, op);
-            for (fs, label) in [(&h2 as &dyn CloudFs, "h2"), (&swift, "swift")] {
+            for &(fs, label) in &fss {
                 let got = Trace::apply_fs(fs, &mut ctx, "u", op);
                 match (&want, &got) {
                     (Ok(()), Ok(())) => {}
@@ -183,15 +219,17 @@ proptest! {
         // Final trees agree with the model.
         let mut want_root = model.list(&FsPath::root()).unwrap();
         want_root.sort();
-        for (fs, label) in [(&h2 as &dyn CloudFs, "h2"), (&swift, "swift")] {
+        for &(fs, label) in &fss {
             let mut got = fs.list(&mut ctx, "u", &FsPath::root()).unwrap();
             got.sort();
             prop_assert_eq!(&got, &want_root, "{} final root listing", label);
         }
 
         // However hostile the sequence, H2's representation is consistent.
-        let report = fsck(&h2, &mut ctx, "u").unwrap();
-        prop_assert!(report.is_clean(), "fsck violations: {:?}", report.violations);
+        for (h2, label) in &h2s {
+            let report = fsck(h2, &mut ctx, "u").unwrap();
+            prop_assert!(report.is_clean(), "{}: fsck violations: {:?}", label, report.violations);
+        }
     }
 
     #[test]
@@ -585,16 +623,14 @@ proptest! {
 fn batched_gossip_apply_loses_nothing_under_5pct_faults() {
     use h2util::faults::{FaultPlan, FaultSpec};
 
-    // Two identical Deferred instances build the same tree through all
-    // three middlewares (so convergence genuinely rides on gossip), then
-    // run maintenance under 5% transient faults — one applying gossip
-    // per-message, the other in batches. Batching must lose nothing: after
-    // the faults clear, every middleware on both instances holds the same
-    // tree.
-    let per_msg = h2_deferred_commit(false);
-    let batched = h2_deferred_commit(true);
-    let mut ctx = OpCtx::for_test();
-    for fs in [&per_msg, &batched] {
+    // A Deferred instance builds a tree through all three middlewares (so
+    // convergence genuinely rides on gossip), then runs maintenance under
+    // 5% transient faults, every pump applying gossip in per-target
+    // batches. Batching must lose nothing: after the faults clear, every
+    // middleware holds the whole tree. Run with and without group commit.
+    for group_commit in [false, true] {
+        let fs = h2_deferred_commit(group_commit);
+        let mut ctx = OpCtx::for_test();
         fs.create_account(&mut ctx, "u").unwrap();
         for (i, d) in ["a", "b", "c"].iter().enumerate() {
             let view = fs.via(i);
@@ -606,46 +642,34 @@ fn batched_gossip_apply_loses_nothing_under_5pct_faults() {
                     .unwrap();
             }
         }
-    }
 
-    let spec = FaultSpec::errors(0.05);
-    for fs in [&per_msg, &batched] {
+        let spec = FaultSpec::errors(0.05);
         fs.cluster()
             .set_fault_plan(Some(FaultPlan::uniform(0xBA7C4ED, spec)));
-    }
-    // Maintenance under fire: rounds may error out once a message burns
-    // its whole retry budget — state is still never lost, so keep going.
-    for _ in 0..6 {
-        let _ = per_msg.layer().pump();
-        let _ = batched.layer().pump_batched();
-    }
-    for fs in [&per_msg, &batched] {
+        // Maintenance under fire: rounds may error out once a message burns
+        // its whole retry budget — state is still never lost, so keep going.
+        for _ in 0..6 {
+            let _ = fs.layer().pump();
+        }
         fs.cluster().set_fault_plan(None);
-    }
-    per_msg.layer().pump().unwrap();
-    batched.layer().pump_batched().unwrap();
+        fs.layer().pump().unwrap();
 
-    let want = tree_snapshot(&per_msg, "u");
-    assert_eq!(want.len(), 3 + 12, "per-message instance lost writes");
-    assert_eq!(
-        tree_snapshot(&batched, "u"),
-        want,
-        "batched apply diverged from per-message apply"
-    );
-    for i in 0..3 {
+        let want = tree_snapshot(&fs, "u");
         assert_eq!(
-            tree_snapshot(&per_msg.via(i), "u"),
-            want,
-            "per-message middleware {i} diverged"
+            want.len(),
+            3 + 12,
+            "group_commit={group_commit}: lost writes"
         );
-        assert_eq!(
-            tree_snapshot(&batched.via(i), "u"),
-            want,
-            "batched middleware {i} diverged"
-        );
+        for i in 0..3 {
+            assert_eq!(
+                tree_snapshot(&fs.via(i), "u"),
+                want,
+                "group_commit={group_commit}: middleware {i} diverged"
+            );
+        }
+        let report = fsck(&fs, &mut ctx, "u").unwrap();
+        assert!(report.is_clean(), "{:?}", report.violations);
     }
-    let report = fsck(&batched, &mut ctx, "u").unwrap();
-    assert!(report.is_clean(), "{:?}", report.violations);
 }
 
 #[test]

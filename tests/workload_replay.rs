@@ -15,100 +15,112 @@ fn p(s: &str) -> FsPath {
     FsPath::parse(s).unwrap()
 }
 
+/// `for_test()` with the CAS content plane on or off.
+fn h2_plane(cas: bool) -> H2Cloud {
+    H2Cloud::new(H2Config {
+        cas,
+        ..H2Config::for_test()
+    })
+}
+
 #[test]
 fn bulk_import_equals_slow_population_on_h2() {
-    let spec = FsSpec::generate(&mut rng(5), UserProfile::Light, 0.5);
+    for cas in [false, true] {
+        let spec = FsSpec::generate(&mut rng(5), UserProfile::Light, 0.5);
 
-    let fast = H2Cloud::new(H2Config::for_test());
-    let mut ctx = OpCtx::for_test();
-    fast.create_account(&mut ctx, "u").unwrap();
-    spec.populate(&fast, &mut ctx, "u").unwrap();
+        let fast = h2_plane(cas);
+        let mut ctx = OpCtx::for_test();
+        fast.create_account(&mut ctx, "u").unwrap();
+        spec.populate(&fast, &mut ctx, "u").unwrap();
 
-    let slow = H2Cloud::new(H2Config::for_test());
-    let mut ctx2 = OpCtx::for_test();
-    slow.create_account(&mut ctx2, "u").unwrap();
-    spec.populate_slow(&slow, &mut ctx2, "u").unwrap();
+        let slow = h2_plane(cas);
+        let mut ctx2 = OpCtx::for_test();
+        slow.create_account(&mut ctx2, "u").unwrap();
+        spec.populate_slow(&slow, &mut ctx2, "u").unwrap();
 
-    // Same tree, recursively.
-    let mut stack = vec![FsPath::root()];
-    while let Some(dir) = stack.pop() {
-        let mut a = fast.list_detailed(&mut ctx, "u", &dir).unwrap();
-        let mut b = slow.list_detailed(&mut ctx2, "u", &dir).unwrap();
-        a.sort_by(|x, y| x.name.cmp(&y.name));
-        b.sort_by(|x, y| x.name.cmp(&y.name));
-        assert_eq!(a.len(), b.len(), "{dir}");
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.name, y.name);
-            assert_eq!(x.kind, y.kind);
-            assert_eq!(x.size, y.size);
-            if x.kind == h2fsapi::EntryKind::Directory {
-                stack.push(dir.child(&x.name).unwrap());
+        // Same tree, recursively.
+        let mut stack = vec![FsPath::root()];
+        while let Some(dir) = stack.pop() {
+            let mut a = fast.list_detailed(&mut ctx, "u", &dir).unwrap();
+            let mut b = slow.list_detailed(&mut ctx2, "u", &dir).unwrap();
+            a.sort_by(|x, y| x.name.cmp(&y.name));
+            b.sort_by(|x, y| x.name.cmp(&y.name));
+            assert_eq!(a.len(), b.len(), "cas={cas}: {dir}");
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(x.name, y.name);
+                assert_eq!(x.kind, y.kind);
+                assert_eq!(x.size, y.size);
+                if x.kind == h2fsapi::EntryKind::Directory {
+                    stack.push(dir.child(&x.name).unwrap());
+                }
             }
         }
+        // Same object count in the cloud (a descriptor + ring per dir, one
+        // object per file, one root ring).
+        assert_eq!(fast.storage_stats().objects, slow.storage_stats().objects);
     }
-    // Same object count in the cloud (a descriptor + ring per dir, one
-    // object per file, one root ring).
-    assert_eq!(fast.storage_stats().objects, slow.storage_stats().objects);
 }
 
 #[test]
 fn heavy_user_filesystem_hosts_and_operates() {
-    let spec = FsSpec::generate(&mut rng(8), UserProfile::Heavy, 0.1);
-    let fs = H2Cloud::new(H2Config::for_test());
-    let mut ctx = OpCtx::for_test();
-    fs.create_account(&mut ctx, "heavy").unwrap();
-    spec.populate(&fs, &mut ctx, "heavy").unwrap();
+    for cas in [false, true] {
+        let spec = FsSpec::generate(&mut rng(8), UserProfile::Heavy, 0.1);
+        let fs = h2_plane(cas);
+        let mut ctx = OpCtx::for_test();
+        fs.create_account(&mut ctx, "heavy").unwrap();
+        spec.populate(&fs, &mut ctx, "heavy").unwrap();
 
-    let model = spec.to_model();
-    if fs.layer().mw(0).cas_active() {
-        // CAS plane: one manifest per file, plus the deduplicated block set
-        // (leaves and branches) that the cluster's refcount index tracks.
-        // Pinning objects against `cas_live_blocks` proves no block leaked
-        // outside the refcount discipline during a bulk import.
-        assert_eq!(
-            fs.storage_stats().objects,
-            spec.files.len() as u64
-                + fs.cluster().cas_live_blocks()
-                + 2 * spec.dirs.len() as u64
-                + 1
-        );
-    } else {
-        // One object per small file, manifest + parts per striped file,
-        // 2 per dir (descriptor + NameRing), plus the root ring.
-        let content_objects: u64 = spec
-            .files
-            .iter()
-            .map(|(_, size)| {
-                if *size > h2cloud::middleware::PART_BYTES {
-                    1 + size.div_ceil(h2cloud::middleware::PART_BYTES)
-                } else {
-                    1
-                }
-            })
-            .sum();
-        assert_eq!(
-            fs.storage_stats().objects,
-            content_objects + 2 * spec.dirs.len() as u64 + 1
-        );
+        let model = spec.to_model();
+        if cas {
+            // CAS plane: one manifest per file, plus the deduplicated block set
+            // (leaves and branches) that the cluster's refcount index tracks.
+            // Pinning objects against `cas_live_blocks` proves no block leaked
+            // outside the refcount discipline during a bulk import.
+            assert_eq!(
+                fs.storage_stats().objects,
+                spec.files.len() as u64
+                    + fs.cluster().cas_live_blocks()
+                    + 2 * spec.dirs.len() as u64
+                    + 1
+            );
+        } else {
+            // One object per small file, manifest + parts per striped file,
+            // 2 per dir (descriptor + NameRing), plus the root ring.
+            let content_objects: u64 = spec
+                .files
+                .iter()
+                .map(|(_, size)| {
+                    if *size > h2cloud::middleware::PART_BYTES {
+                        1 + size.div_ceil(h2cloud::middleware::PART_BYTES)
+                    } else {
+                        1
+                    }
+                })
+                .sum();
+            assert_eq!(
+                fs.storage_stats().objects,
+                content_objects + 2 * spec.dirs.len() as u64 + 1
+            );
+        }
+        // Spot-check twenty files.
+        for (path, size) in model.all_files().into_iter().take(20) {
+            let st = fs.stat(&mut ctx, "heavy", &path).unwrap();
+            assert_eq!(st.size, size, "cas={cas}: {path}");
+        }
+        // Directory ops on the populated tree work.
+        let deepest = model
+            .all_dirs()
+            .into_iter()
+            .max_by_key(|d| d.depth())
+            .unwrap();
+        assert!(deepest.depth() >= 5, "heavy profile too shallow");
+        fs.mkdir(&mut ctx, "heavy", &deepest.child("fresh").unwrap())
+            .unwrap();
+        assert!(fs
+            .list(&mut ctx, "heavy", &deepest)
+            .unwrap()
+            .contains(&"fresh".to_string()));
     }
-    // Spot-check twenty files.
-    for (path, size) in model.all_files().into_iter().take(20) {
-        let st = fs.stat(&mut ctx, "heavy", &path).unwrap();
-        assert_eq!(st.size, size, "{path}");
-    }
-    // Directory ops on the populated tree work.
-    let deepest = model
-        .all_dirs()
-        .into_iter()
-        .max_by_key(|d| d.depth())
-        .unwrap();
-    assert!(deepest.depth() >= 5, "heavy profile too shallow");
-    fs.mkdir(&mut ctx, "heavy", &deepest.child("fresh").unwrap())
-        .unwrap();
-    assert!(fs
-        .list(&mut ctx, "heavy", &deepest)
-        .unwrap()
-        .contains(&"fresh".to_string()));
 }
 
 #[test]
