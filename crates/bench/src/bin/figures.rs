@@ -6,10 +6,13 @@
 //! ```
 //!
 //! Experiments: `table1`, `fig7` … `fig13`, `fig14-15`, `rtt`,
-//! `abl-sync`, `abl-gossip`, `abl-lookup`, `abl-ring`, `abl-cache`.
-//! `--quick` caps
+//! `abl-sync`, `abl-gossip`, `abl-lookup`, `abl-ring`, `abl-cache`, and,
+//! outside `all`, `abl-faults` and `abl-dedup`. `--quick` caps
 //! sweeps at n = 1000 for smoke runs; `--csv <dir>` additionally writes
-//! each experiment as a CSV file for plotting.
+//! each experiment as a CSV file for plotting. An unknown experiment or a
+//! failed CSV write exits non-zero.
+
+use std::process::ExitCode;
 
 use h2bench::{ablations, experiments, rtt, table1, ExpTable, SystemKind};
 
@@ -45,7 +48,7 @@ fn write_csv(dir: &str, table: &ExpTable) -> std::io::Result<()> {
     std::fs::write(format!("{dir}/{}.csv", table.id), out)
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let csv_dir: Option<String> = args
@@ -123,13 +126,16 @@ fn main() {
     };
 
     for id in wanted {
-        if let Some(table) = run(id) {
-            println!("{}", table.render());
-            if let Some(dir) = &csv_dir {
-                if let Err(e) = write_csv(dir, &table) {
-                    eprintln!("failed to write {dir}/{}.csv: {e}", table.id);
-                }
+        let Some(table) = run(id) else {
+            return ExitCode::FAILURE;
+        };
+        println!("{}", table.render());
+        if let Some(dir) = &csv_dir {
+            if let Err(e) = write_csv(dir, &table) {
+                eprintln!("failed to write {dir}/{}.csv: {e}", table.id);
+                return ExitCode::FAILURE;
             }
         }
     }
+    ExitCode::SUCCESS
 }

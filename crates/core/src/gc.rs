@@ -126,7 +126,7 @@ fn walk_and_compact(
                     // Only reclaim subtrees nothing live points at: a MOVE's
                     // tombstone still names the (re-parented, live) namespace.
                     ChildRef::Dir { ns: dead_ns } if !live.contains(&dead_ns) => {
-                        delete_subtree(fs, mw, ctx, keys, dead_ns, report)?;
+                        delete_subtree(fs, mw, ctx, keys, dead_ns, live, report)?;
                         delete_quiet(fs, mw, ctx, keys, ns, &name, None, report)?;
                         // descriptor
                     }
@@ -146,13 +146,16 @@ fn walk_and_compact(
 }
 
 /// Delete everything reachable from `ns` (the directory was tombstoned:
-/// nothing live points here anymore).
+/// nothing live points here anymore). The walk follows tombstones too, so
+/// it stops at any namespace in `live`: a directory moved out of the dead
+/// subtree left a tombstone here that still names its live namespace.
 fn delete_subtree(
     fs: &H2Cloud,
     mw: &H2Middleware,
     ctx: &mut OpCtx,
     keys: &H2Keys,
     ns: NamespaceId,
+    live: &std::collections::HashSet<NamespaceId>,
     report: &mut GcReport,
 ) -> Result<()> {
     let mut stack = vec![ns];
@@ -163,10 +166,11 @@ fn delete_subtree(
                 ChildRef::File { size } => {
                     delete_quiet(fs, mw, ctx, keys, ns, name, Some(size), report)?;
                 }
-                ChildRef::Dir { ns: child_ns } => {
+                ChildRef::Dir { ns: child_ns } if !live.contains(&child_ns) => {
                     stack.push(child_ns);
                     delete_quiet(fs, mw, ctx, keys, ns, name, None, report)?; // descriptor
                 }
+                ChildRef::Dir { .. } => {}
             }
         }
         // The ring object itself.
@@ -332,6 +336,34 @@ mod tests {
             .unwrap();
         collect(&fs, &mut ctx, "alice", far_future()).unwrap();
         assert!(fs.read(&mut ctx, "alice", &p("/final/trip.jpg")).is_ok());
+    }
+
+    #[test]
+    fn gc_keeps_a_directory_moved_out_of_a_removed_parent() {
+        // Regression: reclaiming the removed parent walked its ring,
+        // tombstones included, followed the move's tombstone into the
+        // moved directory's live namespace and deleted its contents.
+        let (fs, mut ctx) = setup();
+        fs.mkdir(&mut ctx, "alice", &p("/x")).unwrap();
+        fs.mkdir(&mut ctx, "alice", &p("/x/d")).unwrap();
+        fs.write(
+            &mut ctx,
+            "alice",
+            &p("/x/d/f"),
+            FileContent::Simulated(4096),
+        )
+        .unwrap();
+        fs.mv(&mut ctx, "alice", &p("/x/d"), &p("/moved")).unwrap();
+        fs.rmdir(&mut ctx, "alice", &p("/x")).unwrap();
+        fs.quiesce();
+        collect(&fs, &mut ctx, "alice", far_future()).unwrap();
+        assert_eq!(fs.list(&mut ctx, "alice", &p("/moved")).unwrap(), vec!["f"]);
+        assert_eq!(
+            fs.read(&mut ctx, "alice", &p("/moved/f")).unwrap(),
+            FileContent::Simulated(4096)
+        );
+        let fsck = crate::check::fsck(&fs, &mut ctx, "alice").unwrap();
+        assert!(fsck.is_clean(), "{fsck:?}");
     }
 
     #[test]

@@ -23,10 +23,10 @@ use crate::id::NodeId;
 // in the workspace is virtual-time (`CostModel`/`OpCtx`) and must stay
 // deterministic; `h2lint`'s determinism rule flags `Instant::now`,
 // `SystemTime::now` and `thread::sleep` in any other file. Code that has a
-// legitimate real-time need — pacing sleeps in the load generator, the
-// threaded-gossip idle backoff, convergence deadlines in threaded tests —
-// calls through here, which keeps every wall-clock touchpoint greppable
-// and auditable in one place.
+// legitimate real-time need — the threaded-gossip idle backoff, real
+// retry backoff on background threads, convergence deadlines in threaded
+// tests, the `figures` run timer — calls through here, which keeps every
+// wall-clock touchpoint greppable and auditable in one place.
 
 /// Read the real monotonic clock. The only sanctioned `Instant::now`.
 pub fn wall_now() -> std::time::Instant {

@@ -133,19 +133,6 @@ impl TraceMix {
         }
     }
 
-    /// Streaming-read mix: sequential whole-file READs of a large-file
-    /// corpus dominate, with a trickle of stats, lists and small ingest
-    /// writes. Meant for [`Trace::generate_hot`] over a population of
-    /// multi-part/multi-chunk files, where each READ walks the full
-    /// content path (manifest → branches → leaves).
-    pub fn streaming_read() -> Self {
-        TraceMix {
-            weights: [
-                0.5, 0.0, 1.5, 70.0, 0.0, 0.0, 0.0, 3.0, 0.0, 10.0, 0.0, 0.0, 0.0, 0.0,
-            ],
-        }
-    }
-
     /// Shared-content mix: most ingest writes content drawn from a small
     /// pool of shared identities (the same release tarball uploaded by
     /// every user), plus reads and the occasional delete. On a

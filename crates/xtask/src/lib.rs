@@ -1,7 +1,7 @@
 //! `xtask` — workspace automation, dependency-free by design (the build
 //! environment has no registry access).
 //!
-//! The main task is **h2lint** (`cargo run -p xtask -- lint`), a parsed,
+//! Its one task is **h2lint** (`cargo run -p xtask -- lint`), a parsed,
 //! dataflow-aware static analyzer that enforces the workspace's
 //! concurrency, virtual-time, and observability invariants (DESIGN.md
 //! "Static analysis"). It runs in two passes: [`parse`] recovers item
@@ -31,14 +31,7 @@
 //! justified allow comment on the same line or the line above; see README
 //! "Static analysis". Nested directories whose `Cargo.toml` declares its
 //! own `[workspace]` are separate workspaces and are not walked.
-//!
-//! The second task is **benchcmp** (`cargo run -p xtask -- benchcmp`),
-//! the CI perf-regression gate: it compares a fresh
-//! `BENCH_throughput.json` against the checked-in baseline and exits
-//! non-zero on a >25% throughput or tail-latency regression — see
-//! [`benchcmp`].
 
-pub mod benchcmp;
 pub mod config;
 pub mod dataflow;
 pub mod lexer;

@@ -1,16 +1,12 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use xtask::{benchcmp, lint, sarif};
+use xtask::{lint, sarif};
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: cargo run -p xtask -- lint [--config <h2lint.toml>] [--sarif <out.sarif>]\n\
          \x20                                [--max-seconds N] [<workspace-root>]"
-    );
-    eprintln!(
-        "       cargo run -p xtask -- benchcmp <baseline.json> <current.json> \
-         [--allowed-pct N] [--p99-slack-ms N]"
     );
     ExitCode::from(2)
 }
@@ -96,8 +92,7 @@ fn run_lint(args: &[String]) -> ExitCode {
     ExitCode::from(code as u8)
 }
 
-/// A benchcmp-style markdown table for `$GITHUB_STEP_SUMMARY`: findings
-/// per rule.
+/// A markdown table for `$GITHUB_STEP_SUMMARY`: findings per rule.
 fn markdown_summary(findings: &[xtask::rules::Finding]) -> String {
     let mut out = String::from("### h2lint findings\n\n| rule | findings |\n|---|---:|\n");
     for (rule, _) in sarif::RULE_CATALOGUE {
@@ -109,35 +104,10 @@ fn markdown_summary(findings: &[xtask::rules::Finding]) -> String {
     out
 }
 
-fn run_benchcmp(args: &[String]) -> ExitCode {
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut gate = benchcmp::Gate::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--allowed-pct" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(pct) => gate.allowed = pct / 100.0,
-                None => return usage(),
-            },
-            "--p99-slack-ms" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(ms) => gate.p99_slack_ms = ms,
-                None => return usage(),
-            },
-            p if paths.len() < 2 => paths.push(PathBuf::from(p)),
-            _ => return usage(),
-        }
-    }
-    let [baseline, current] = paths.as_slice() else {
-        return usage();
-    };
-    ExitCode::from(benchcmp::run(baseline, current, gate))
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => run_lint(&args[1..]),
-        Some("benchcmp") => run_benchcmp(&args[1..]),
         _ => usage(),
     }
 }

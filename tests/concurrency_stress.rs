@@ -293,6 +293,75 @@ fn h2cloud_concurrent_writers_one_middleware_lose_nothing() {
 }
 
 #[test]
+fn h2cloud_writers_survive_a_live_rebalance_under_threaded_gossip() {
+    // Writers on two middlewares, threaded gossip and an operator adding
+    // and draining a device all run at once: no client op may fail, and
+    // once the fabric settles both middlewares see every file.
+    const FILES: usize = 20;
+    for knobs in [false, true] {
+        let fs = Arc::new(H2Cloud::new(with_knobs(
+            H2Config {
+                middlewares: 2,
+                mode: MaintenanceMode::Deferred,
+                cluster: ClusterConfig {
+                    cost: Arc::new(CostModel::zero()),
+                    ..ClusterConfig::default()
+                },
+                cache_capacity: 128,
+                trace_sample: 0.0,
+                ..H2Config::default()
+            },
+            knobs,
+        )));
+        let mut ctx = OpCtx::for_test();
+        fs.create_account(&mut ctx, "team").unwrap();
+        fs.mkdir(&mut ctx, "team", &p("/hot")).unwrap();
+        fs.quiesce();
+        let gossip = fs.layer().run_threaded();
+        std::thread::scope(|scope| {
+            for mw in 0..2 {
+                let fs = fs.clone();
+                scope.spawn(move || {
+                    let view = fs.via(mw);
+                    for i in 0..FILES {
+                        let mut ctx = OpCtx::for_test();
+                        view.write(
+                            &mut ctx,
+                            "team",
+                            &p(&format!("/hot/t{mw}-{i:02}")),
+                            FileContent::Simulated(64),
+                        )
+                        .unwrap();
+                    }
+                });
+            }
+            let fs = fs.clone();
+            scope.spawn(move || {
+                for _ in 0..2 {
+                    let id = fs.layer().add_node(0, 1.0, 8).unwrap();
+                    fs.layer().drain_node(id, 8).unwrap();
+                }
+            });
+        });
+        gossip.stop();
+        fs.layer().pump().unwrap();
+
+        assert!(!fs.cluster().migration_active(), "knobs {knobs}");
+        assert!(
+            fs.cluster().migration_parts_moved_count() > 0,
+            "knobs {knobs}"
+        );
+        let mut ctx = OpCtx::for_test();
+        for mw in 0..2 {
+            let listing = fs.via(mw).list(&mut ctx, "team", &p("/hot")).unwrap();
+            assert_eq!(listing.len(), 2 * FILES, "knobs {knobs}, middleware {mw}");
+        }
+        let report = fsck(&fs, &mut ctx, "team").unwrap();
+        assert!(report.is_clean(), "knobs {knobs}: {:?}", report.violations);
+    }
+}
+
+#[test]
 fn submit_patch_chain_survives_concurrent_merges() {
     // Regression for a double-lock race in `submit_patch`: the patch number
     // used to be allocated in one lock scope and recorded in the pending
